@@ -20,6 +20,7 @@ from .rings import (
     NilpotencyWitness,
     RingElem,
     ZModContext,
+    _require_budget,
     commutant,
     enumeration_budget,
     in_double_commutant,
@@ -225,21 +226,35 @@ def _finite_ring_search(a: RingElem, core_ok, mode: str, budget):
 
 
 def drazin_finite_ring(a: RingElem, budget: int | None = None):
-    """Exhaustive Drazin-inverse oracle for enumerable finite rings."""
-    if not a.ctx.is_finite_ring:
+    """Exhaustive Drazin-inverse oracle for enumerable finite rings.
+
+    The search runs once per element; later calls return its certificate
+    (or None) from the ring's cache, after the same budget check.
+    """
+    ctx = a.ctx
+    if not ctx.is_finite_ring:
         raise ContextMismatch("drazin_finite_ring needs a finite-ring context")
-    return _finite_ring_search(
-        a, lambda core: nilpotency(core).is_nilpotent, DRAZIN, budget
+    _require_budget(ctx, budget)
+    return ctx.cached(
+        (DRAZIN, a.payload),
+        lambda: _finite_ring_search(
+            a, lambda core: nilpotency(core).is_nilpotent, DRAZIN, budget
+        ),
     )
 
 
 def gdrazin_finite_ring(a: RingElem, budget: int | None = None):
     """Same search with quasinilpotency (decided by enumeration) in place of
-    nilpotency for the core part."""
-    if not a.ctx.is_finite_ring:
+    nilpotency for the core part; memoized like drazin_finite_ring."""
+    ctx = a.ctx
+    if not ctx.is_finite_ring:
         raise ContextMismatch("gdrazin_finite_ring needs a finite-ring context")
-    return _finite_ring_search(
-        a, lambda core: is_quasinilpotent(core, budget), GDRAZIN, budget
+    _require_budget(ctx, budget)
+    return ctx.cached(
+        (GDRAZIN, a.payload),
+        lambda: _finite_ring_search(
+            a, lambda core: is_quasinilpotent(core, budget), GDRAZIN, budget
+        ),
     )
 
 
@@ -247,14 +262,14 @@ def _map_to_context(cert: DrazinCertificate, ctx) -> DrazinCertificate:
     """Reinterpret a certificate computed in M_n(F_p) inside M_n(Z/p);
     payloads and arithmetic are identical, only algorithm dispatch differs."""
     return DrazinCertificate(
-        element=RingElem(ctx, cert.element.payload),
-        inverse=RingElem(ctx, cert.inverse.payload),
+        element=ctx._wrap(cert.element.payload),
+        inverse=ctx._wrap(cert.inverse.payload),
         index=cert.index,
         mode=cert.mode,
         bab_equals_b=cert.bab_equals_b,
         double_commutant=cert.double_commutant,
         commutes=cert.commutes,
-        core=RingElem(ctx, cert.core.payload),
+        core=ctx._wrap(cert.core.payload),
         core_nilpotency=cert.core_nilpotency,
         core_quasinilpotent=cert.core_quasinilpotent,
     )

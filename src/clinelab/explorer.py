@@ -10,7 +10,6 @@ JSON for identical inputs, including the sample seed and the worker count).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +38,9 @@ from .errors import (
     SweepViolation,
 )
 from .rings import (
+    DEFAULT_TRIPLE_BUDGET,
     RingContext,
+    enumeration_budget,
     is_unit,
     matrix_ring,
     nilpotency,
@@ -48,19 +49,7 @@ from .rings import (
 )
 from .serialize import element_to_json, triple_to_json
 
-DEFAULT_TRIPLE_BUDGET = 2**24
-
 ALL_CHECKS = ("t22", "t27", "l21", "l26", "l31", "c23", "c24", "c28")
-
-
-def triple_budget() -> int:
-    raw = os.environ.get("CLINE_LAB_BUDGET")
-    if raw is None:
-        return DEFAULT_TRIPLE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"CLINE_LAB_BUDGET must be an integer, got {raw!r}")
 
 
 # --- per-triple checks; each returns True when it did substantive work ----
@@ -267,9 +256,12 @@ def _scan_indices(ctx, indices, selected):
 
 
 def _scan_block(args):
-    spec, lo, hi, selected = args
-    ctx = _ring_from_spec(spec)
-    return _scan_indices(ctx, range(lo, hi), selected)
+    """Pool worker: scan one block of triple indices (a range or a list)."""
+    spec, indices, selected = args
+    return _scan_indices(_ring_from_spec(spec), indices, selected)
+
+
+_scan_explicit = _scan_block  # perfbench/layers.py wraps the worker by both names
 
 
 def sweep(
@@ -291,7 +283,7 @@ def sweep(
         raise ContextMismatch("sweeps need an enumerable finite ring")
     selected = _normalize_theorems(theorems)
     total_space = ctx.element_count**3
-    limit = triple_budget() if max_triples is None else max_triples
+    limit = enumeration_budget(DEFAULT_TRIPLE_BUDGET) if max_triples is None else max_triples
     started = time.perf_counter()
     if mode == "exhaustive":
         if total_space > limit:
@@ -310,7 +302,7 @@ def sweep(
         raise InputError("mode must be 'exhaustive' or 'sample'")
 
     if jobs > 1:
-        parts = _parallel_scan(ctx, list(indices), selected, jobs)
+        parts = _parallel_scan(ctx, indices, selected, jobs)
     else:
         parts = [_scan_indices(ctx, indices, selected)]
 
@@ -343,34 +335,21 @@ def sweep(
     )
 
 
-def _parallel_scan(ctx, indices: list, selected, jobs: int):
+def _parallel_scan(ctx, indices, selected, jobs: int):
     """Partition indices into contiguous blocks and scan them in workers.
 
-    Blocks merge in index order, so the outcome (including which violation
-    wins: the lowest-index one) matches a sequential scan exactly.
+    Exhaustive sweeps pass a range, whose slices are ranges and pickle in
+    constant size; sampled sweeps pass their sorted index list.  Blocks
+    merge in index order, so the outcome (including which violation wins:
+    the lowest-index one) matches a sequential scan exactly.
     """
     spec = _ring_spec(ctx)
-    nblocks = max(jobs * 4, 1)
-    size = max(len(indices) // nblocks, 1)
-    blocks = [indices[i : i + size] for i in range(0, len(indices), size)]
-    tasks = [(spec, block[0], block[-1] + 1, selected) for block in blocks if block]
-    # contiguous ranges only hold for exhaustive mode; sampled index lists
-    # are scanned per-block via explicit index tuples
-    contiguous = all(
-        block[-1] - block[0] + 1 == len(block) for block in blocks if block
-    )
-    results = []
-    if contiguous:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_block, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _scan_explicit,
-                    [(spec, tuple(block), selected) for block in blocks if block],
-                )
-            )
+    size = max(len(indices) // (jobs * 4), 1)
+    tasks = [
+        (spec, indices[i : i + size], selected) for i in range(0, len(indices), size)
+    ]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(_scan_block, tasks))
     out = []
     for part in results:
         out.append(part)
@@ -379,19 +358,13 @@ def _parallel_scan(ctx, indices: list, selected, jobs: int):
     return out
 
 
-def _scan_explicit(args):
-    spec, indices, selected = args
-    ctx = _ring_from_spec(spec)
-    return _scan_indices(ctx, indices, selected)
-
-
 def find_separation(ctx: RingContext, limit: int, max_triples: int | None = None):
     """Up to `limit` triples with the hypothesis but aba != aca, in
     deterministic enumeration order."""
     if not ctx.is_finite_ring:
         raise ContextMismatch("separation search needs a finite ring")
     total_space = ctx.element_count**3
-    budget = triple_budget() if max_triples is None else max_triples
+    budget = enumeration_budget(DEFAULT_TRIPLE_BUDGET) if max_triples is None else max_triples
     if total_space > budget:
         raise BudgetExceeded(
             f"{ctx.label}^3 has {total_space} triples, over the budget {budget}"

@@ -4,7 +4,7 @@ rationals (stdlib Fraction) and integers modulo n.
 Matrices are immutable tuples of row tuples.  Nothing in here ever touches
 floating point.  Division-based routines (rref, rank, inverse, nullspace)
 require the domain to be a field; purely multiplicative ones (mat_mul,
-mat_pow, det_int) work over any modulus.
+det_int) work over any modulus.
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ def mat_neg(dom, a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_sub(dom, a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(dom, a, mat_neg(dom, b))
-
-
 def _int_valued(a: Matrix) -> bool:
     return all(v.denominator == 1 for row in a for v in row)
 
@@ -124,30 +120,6 @@ def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
             tuple(Fraction(sum(map(_mul, row, col))) for col in cols_i) for row in ai
         )
     return tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in a)
-
-
-def mat_scale(dom, c, a: Matrix) -> Matrix:
-    if isinstance(dom, ModularDomain):
-        n = dom.n
-        return tuple(tuple((c * x) % n for x in row) for row in a)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_pow(dom, a: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError("negative power")
-    result = identity(dom, len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(dom, result, base)
-        base = mat_mul(dom, base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
-def mat_trace(a: Matrix):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def rref(dom, a: Matrix):

@@ -13,22 +13,30 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
 from .linalg import ModularDomain, QQ, is_probable_prime
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
+DEFAULT_TRIPLE_BUDGET = 2**24
+INDEX_CAP = 2**10  # finite rings with at most this many elements are indexed
 
 
-def enumeration_budget() -> int:
-    """Active element-enumeration budget (CLINE_LAB_BUDGET overrides)."""
+def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
+    """Active budget: CLINE_LAB_BUDGET when set, else `default`.
+
+    The one variable caps both element enumeration (the default) and sweep
+    triples (DEFAULT_TRIPLE_BUDGET); it is read on every call.
+    """
     raw = os.environ.get("CLINE_LAB_BUDGET")
     if raw is None:
-        return DEFAULT_ENUMERATION_BUDGET
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -48,13 +56,18 @@ class NilpotencyWitness:
 
 
 class RingElem:
-    """An element of a RingContext; payload is canonical and immutable."""
+    """An element of a RingContext; payload is canonical and immutable.
 
-    __slots__ = ("ctx", "payload")
+    idx is the element's position in its ring's enumeration when the ring
+    is indexed (see FiniteRingContext), else None.
+    """
 
-    def __init__(self, ctx: "RingContext", payload):
+    __slots__ = ("ctx", "payload", "idx")
+
+    def __init__(self, ctx: "RingContext", payload, idx: int | None = None):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "idx", idx)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
@@ -82,12 +95,12 @@ class RingElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElem(self.ctx, self.ctx._add(self.payload, other.payload))
+        return self.ctx._wrap(self.ctx._add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.ctx, self.ctx._neg(self.payload))
+        return self.ctx._wrap(self.ctx._neg(self.payload))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -102,10 +115,15 @@ class RingElem:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ctx, self.ctx._mul(self.payload, other.payload))
+        ctx = self.ctx
+        if type(other) is not RingElem or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        i, j = self.idx, other.idx
+        if i is not None and j is not None:
+            return ctx._product(i, j)
+        return ctx._wrap(ctx._mul(self.payload, other.payload))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -178,17 +196,21 @@ class RingContext:
     def _one_payload(self):
         raise NotImplementedError
 
+    def _wrap(self, payload) -> RingElem:
+        """The element with this canonical payload."""
+        return RingElem(self, payload)
+
     def elem(self, payload) -> RingElem:
-        return RingElem(self, self._canon(payload))
+        return self._wrap(self._canon(payload))
 
     def zero(self) -> RingElem:
         if self._zero is None:
-            self._zero = RingElem(self, self._zero_payload())
+            self._zero = self._wrap(self._zero_payload())
         return self._zero
 
     def one(self) -> RingElem:
         if self._one is None:
-            self._one = RingElem(self, self._one_payload())
+            self._one = self._wrap(self._one_payload())
         return self._one
 
     def scalar(self, k: int) -> RingElem:
@@ -256,17 +278,77 @@ class MatrixContext(RingContext):
         return linalg.identity(self.domain, self.n)
 
 
-class ZModContext(RingContext):
-    """The ring of integers modulo n; payloads are ints in [0, n)."""
+class FiniteRingContext(RingContext):
+    """An enumerable finite ring whose elements are numbered 0..count-1.
+
+    A ring of at most INDEX_CAP elements is indexed.  On first use it builds
+    every element once, in enumeration order, and from then on hands out
+    only those objects, each carrying its index: products are found by index
+    (see _product), sums and negations are computed on payloads and then
+    looked up.  Larger rings compute every result on payloads.
+    """
 
     is_finite_ring = True
 
-    def __init__(self, n: int):
+    def __init__(self, element_count: int):
         super().__init__()
+        self.element_count = element_count
+        self.indexed = element_count <= INDEX_CAP
+        self._elems: tuple | None = None
+        self._pos: dict | None = None
+
+    def _payloads(self):
+        """Every canonical payload, in enumeration order."""
+        raise NotImplementedError
+
+    def _payload_at(self, i: int):
+        raise NotImplementedError
+
+    def _product(self, i: int, j: int) -> RingElem:
+        """The product of the elements with indices i and j (indexed rings)."""
+        raise NotImplementedError
+
+    def _index(self) -> tuple:
+        if self._elems is None:
+            payloads = tuple(self._payloads())
+            self._pos = {p: i for i, p in enumerate(payloads)}
+            self._elems = tuple(RingElem(self, p, i) for i, p in enumerate(payloads))
+        return self._elems
+
+    def _wrap(self, payload) -> RingElem:
+        if not self.indexed:
+            return RingElem(self, payload)
+        elems = self._index()
+        return elems[self._pos[payload]]
+
+    def elements(self):
+        """Every element in enumeration order; above 2^16 elements a lazy
+        iterator, so callers must not keep or reuse it."""
+        if self.indexed:
+            return self._index()
+        if self.element_count <= 2**16:
+            return self.cached(
+                ("elements",), lambda: tuple(map(self._wrap, self._payloads()))
+            )
+        return map(self._wrap, self._payloads())
+
+    def element_by_index(self, i: int) -> RingElem:
+        if not 0 <= i < self.element_count:
+            raise InputError("index out of range")
+        if self.indexed:
+            return self._index()[i]
+        return RingElem(self, self._payload_at(i))
+
+
+class ZModContext(FiniteRingContext):
+    """The ring of integers modulo n; payloads are ints in [0, n), and an
+    element's index is its payload."""
+
+    def __init__(self, n: int):
         if n < 2:
             raise InputError("modulus must be >= 2")
+        super().__init__(n)
         self.n = n
-        self.element_count = n
         self.label = f"Z/{n}"
 
     def _canon(self, payload):
@@ -287,42 +369,45 @@ class ZModContext(RingContext):
     def _mul(self, x, y):
         return (x * y) % self.n
 
+    def _product(self, i, j):
+        return self._elems[(i * j) % self.n]
+
     def _zero_payload(self):
         return 0
 
     def _one_payload(self):
         return 1 % self.n
 
-    def elements(self):
-        return self.cached(
-            ("elements",), lambda: tuple(RingElem(self, i) for i in range(self.n))
-        )
+    def _payloads(self):
+        return range(self.n)
 
-    def element_by_index(self, i: int) -> RingElem:
-        if not 0 <= i < self.n:
-            raise InputError("index out of range")
-        return RingElem(self, i)
+    def _payload_at(self, i):
+        return i
 
     def index_of(self, x: RingElem) -> int:
         return x.payload
 
 
-class MatrixRingContext(RingContext):
-    """m-by-m matrices over Z/n, treated as one enumerable finite ring."""
+class MatrixRingContext(FiniteRingContext):
+    """m-by-m matrices over Z/n, treated as one enumerable finite ring.
 
-    is_finite_ring = True
+    Elements are numbered by their entries read row by row as base-n digits,
+    the first entry most significant.  An indexed ring keeps its products in
+    an N-by-N table of indices that starts at -1 and fills in as pairs are
+    first multiplied.
+    """
 
     def __init__(self, n: int, size: int):
-        super().__init__()
         if n < 2:
             raise InputError("modulus must be >= 2")
         if size < 1:
             raise InputError("matrix size must be >= 1")
+        super().__init__(n ** (size * size))
         self.n = n
         self.size = size
         self.domain = ModularDomain(n)
-        self.element_count = n ** (size * size)
         self.label = f"M{size}(Z/{n})"
+        self._products: array | None = None
 
     def _canon(self, payload):
         rows = tuple(tuple(row) for row in payload)
@@ -339,38 +424,42 @@ class MatrixRingContext(RingContext):
     def _mul(self, x, y):
         return linalg.mat_mul(self.domain, x, y)
 
+    def _product(self, i, j):
+        table = self._products
+        if table is None:
+            table = self._products = array("h", [-1]) * (self.element_count**2)
+        cell = i * self.element_count + j
+        k = table[cell]
+        if k < 0:
+            elems = self._elems
+            k = self._pos[self._mul(elems[i].payload, elems[j].payload)]
+            table[cell] = k
+        return self._elems[k]
+
     def _zero_payload(self):
         return linalg.zeros(self.domain, self.size)
 
     def _one_payload(self):
         return linalg.identity(self.domain, self.size)
 
-    def element_by_index(self, i: int) -> RingElem:
-        if not 0 <= i < self.element_count:
-            raise InputError("index out of range")
-        cells = self.size * self.size
+    def _payloads(self):
+        size = self.size
+        for digits in product(range(self.n), repeat=size * size):
+            yield linalg.mat_unflatten(digits, size, size)
+
+    def _payload_at(self, i):
         digits = []
-        for _ in range(cells):
+        for _ in range(self.size * self.size):
             i, d = divmod(i, self.n)
             digits.append(d)
         digits.reverse()  # first entry is the most significant digit
-        return RingElem(self, linalg.mat_unflatten(tuple(digits), self.size, self.size))
+        return linalg.mat_unflatten(tuple(digits), self.size, self.size)
 
     def index_of(self, x: RingElem) -> int:
         i = 0
         for v in linalg.mat_flatten(x.payload):
             i = i * self.n + v
         return i
-
-    def elements(self):
-        if self.element_count <= 2**16:
-            return self.cached(
-                ("elements",),
-                lambda: tuple(
-                    self.element_by_index(i) for i in range(self.element_count)
-                ),
-            )
-        return (self.element_by_index(i) for i in range(self.element_count))
 
 
 @lru_cache(maxsize=None)
@@ -418,7 +507,7 @@ def to_matrix_ring(x: RingElem) -> RingElem:
         return x
     if not isinstance(ctx, MatrixContext) or not isinstance(ctx.domain, ModularDomain):
         raise ContextMismatch(f"{ctx.label} has no finite-ring counterpart")
-    return RingElem(matrix_ring(ctx.domain.n, ctx.n), x.payload)
+    return matrix_ring(ctx.domain.n, ctx.n)._wrap(x.payload)
 
 
 def _require_budget(ctx: RingContext, budget: int | None):
@@ -476,11 +565,11 @@ def try_inverse(x: RingElem) -> RingElem | None:
         if not is_unit(x):
             return None
         if ctx.domain.is_field:
-            return RingElem(ctx, linalg.inverse(ctx.domain, x.payload))
-        return RingElem(ctx, _adjugate_inverse(x.payload, ctx.n))
+            return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
+        return ctx._wrap(_adjugate_inverse(x.payload, ctx.n))
     if isinstance(ctx, ZModContext):
         try:
-            return RingElem(ctx, pow(x.payload, -1, ctx.n))
+            return ctx._wrap(pow(x.payload, -1, ctx.n))
         except ValueError:
             return None
     raise ContextMismatch(f"unsupported context {ctx.label}")

@@ -16,6 +16,7 @@ document that emptiness rather than assume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -240,7 +241,7 @@ def _rational_roots(poly) -> tuple:
         return ()
     denom_lcm = 1
     for v in poly:
-        denom_lcm = denom_lcm * v.denominator // _gcd_int(denom_lcm, v.denominator)
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
     ints = [int(v * denom_lcm) for v in poly]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor of x contributes root 0, handled separately
@@ -253,12 +254,6 @@ def _rational_roots(poly) -> tuple:
                 if _poly_eval(poly, cand) == 0:
                     roots.add(cand)
     return tuple(sorted(roots))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(v: int):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinelab import (
+    BudgetExceeded,
     ContextMismatch,
     commutant,
     drazin_certificate,
@@ -16,6 +17,7 @@ from clinelab import (
     in_double_commutant,
     index_profile,
     is_polynomial_in,
+    is_quasinilpotent,
     matrix_ring,
     nilpotency,
     rationals_matrix,
@@ -164,6 +166,27 @@ def test_matrix_oracle_agreement_on_small_f2_rings(size):
         ring_cert = drazin_finite_ring(e)
         assert field_cert.inverse.payload == ring_cert.inverse.payload
         assert field_cert.index == ring_cert.index
+
+
+def test_matrix_oracle_agreement_on_m2f3_both_modes():
+    ring = matrix_ring(3, 2)
+    assert ring.element_count == 81
+    for e in ring.elements():
+        for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
+            field_cert = drazin_matrix(to_matrix_over_field(e), mode)
+            ring_cert = search(e)
+            assert ring_cert.inverse.payload == field_cert.inverse.payload
+            assert ring_cert.index == field_cert.index
+
+
+def test_memoized_searches_keep_the_budget_gate():
+    for x in M2Z2.elements():
+        first = (drazin_finite_ring(x), gdrazin_finite_ring(x), is_quasinilpotent(x))
+        assert drazin_finite_ring(x) is first[0]
+        assert gdrazin_finite_ring(x) is first[1]
+        for fn in (drazin_finite_ring, gdrazin_finite_ring, is_quasinilpotent):
+            with pytest.raises(BudgetExceeded):
+                fn(x, budget=10)
 
 
 # --- group inverse -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Sweeps, separation search, and the end-to-end example verification."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -92,6 +93,37 @@ def test_parallel_sweep_matches_sequential():
     seq = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=1)
     par = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=2)
     assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
+
+
+def test_parallel_exhaustive_all_checks_is_byte_identical():
+    seq = sweep(zmod(6), jobs=1)
+    par = sweep(zmod(6), jobs=2)
+    assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
+
+
+# sha256 of dumps_canonical(report.to_json()), recorded before finite rings
+# were indexed; any change to a sweep's canonical output shows here
+@pytest.mark.parametrize(
+    "ring, kwargs, digest",
+    [
+        (zmod(12), {}, "f637249d0c0dbb77ec606a6b4940133621cea569cbeb1fbc0f9acf1eea64951e"),
+        (matrix_ring(2, 2), {}, "6e92b404acd471514c0f02772571c51a9dc976cd723829690ad81404faefa024"),
+        (
+            matrix_ring(4, 2),
+            {"mode": "sample", "seed": 7, "count": 300, "jobs": 1},
+            "061bc68277aa6e23c6a87a3d35bac0a2b98b7a0c18d5f152a98898accd0059a7",
+        ),
+        (
+            matrix_ring(4, 2),
+            {"mode": "sample", "seed": 7, "count": 300, "jobs": 2},
+            "061bc68277aa6e23c6a87a3d35bac0a2b98b7a0c18d5f152a98898accd0059a7",
+        ),
+    ],
+    ids=["zmod12", "mat2z2", "mat2z4-sample-jobs1", "mat2z4-sample-jobs2"],
+)
+def test_sweep_canonical_output_is_pinned(ring, kwargs, digest):
+    text = dumps_canonical(sweep(ring, **kwargs).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parallel_sample_sweep_matches_sequential():

@@ -289,6 +289,63 @@ def test_enumeration_is_lexicographic_in_payload():
     assert flat == sorted(flat)
 
 
+# --- indexed finite rings -----------------------------------------------------
+
+
+def test_indexed_ring_hands_out_interned_elements():
+    from clinelab.serialize import element_from_json, element_to_json
+
+    ring = matrix_ring(3, 2)
+    x = ring.elem([[1, 2], [0, 1]])
+    assert ring.indexed and x.idx is not None
+    assert ring.elem([[4, 5], [3, 1]]) is x
+    assert ring.elements()[x.idx] is x
+    assert ring.element_by_index(x.idx) is x
+    assert element_from_json(element_to_json(x)) is x
+    assert x * try_inverse(x) is ring.one()
+    assert Z8.elem(11) is Z8.elements()[3]
+
+
+def test_over_cap_ring_stays_unindexed_with_structural_equality():
+    ring = matrix_ring(2, 6)
+    a, b, c = example_29_triple()
+    x = a * c + b
+    y = ring.elem([list(row) for row in x.payload])
+    assert not ring.indexed
+    assert x.idx is None and y is not x
+    assert x == y and hash(x) == hash(y)
+    assert ring._elems is None and ring._products is None
+
+
+def test_index_is_built_on_first_use():
+    from clinelab.rings import MatrixRingContext
+
+    ring = MatrixRingContext(3, 2)
+    assert ring._elems is None
+    ring.one()
+    assert len(ring._elems) == 81 and ring._products is None
+
+
+@pytest.mark.parametrize("ring", [M2Z2, matrix_ring(6, 2), zmod(1500)])
+def test_enumeration_agrees_with_element_by_index(ring):
+    # indexed rings enumerate through the index, larger ones on payloads
+    for i, e in enumerate(ring.elements()):
+        assert ring.element_by_index(i) == e
+        assert ring.index_of(e) == i
+    assert i == ring.element_count - 1
+
+
+@pytest.mark.parametrize("ring", [zmod(12), matrix_ring(3, 2)])
+def test_indexed_arithmetic_matches_payload_arithmetic(ring):
+    # the payload routines are the reference for the index lookups
+    els = ring.elements()
+    for x in els:
+        assert (-x).payload == ring._neg(x.payload)
+        for y in els:
+            assert (x * y).payload == ring._mul(x.payload, y.payload)
+            assert (x + y).payload == ring._add(x.payload, y.payload)
+
+
 def test_matrix_ring_field_conversions():
     e = M2Z2.elem([[1, 1], [0, 1]])
     f = to_matrix_over_field(e)
