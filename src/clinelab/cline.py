@@ -21,7 +21,7 @@ from .drazin import (
     GDRAZIN,
     DrazinCertificate,
     _build_certificate,
-    _map_to_context,
+    _via_field,
     drazin_certificate,
     gdrazin_certificate,
     is_polynomial_in,
@@ -35,15 +35,12 @@ from .errors import (
 )
 from .rings import (
     MatrixContext,
-    MatrixRingContext,
     RingElem,
-    enumeration_budget,
     in_double_commutant,
     is_quasinilpotent,
     is_unit,
     matrix_ring,
     nilpotency,
-    to_matrix_over_field,
 )
 
 FORWARD = "forward"  # (ba) -> (ac)
@@ -111,18 +108,12 @@ def _require_hypothesis(a, b, c) -> HypothesisReport:
 
 def _certify_inverse(x: RingElem, v: RingElem, mode: str, budget=None) -> DrazinCertificate:
     """Fully re-certify a claimed (g-)Drazin inverse v of x."""
-    ctx = x.ctx
-    limit = enumeration_budget() if budget is None else budget
-    if (
-        isinstance(ctx, MatrixRingContext)
-        and ctx.domain.is_field
-        and ctx.element_count > limit
-    ):
-        cert = _certify_inverse(
-            to_matrix_over_field(x), to_matrix_over_field(v), mode, budget
-        )
-        return _map_to_context(cert, ctx)
-    if isinstance(ctx, MatrixContext):
+    cert = _via_field(
+        lambda x, v: _certify_inverse(x, v, mode, budget), (x, v), budget
+    )
+    if cert is not None:
+        return cert
+    if isinstance(x.ctx, MatrixContext):
         if not is_polynomial_in(v, x):
             raise CertificationError("transferred inverse is not a polynomial in its element")
         return _build_certificate(x, v, mode, double_commutant_ok=True)

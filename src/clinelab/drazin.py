@@ -65,18 +65,26 @@ class DrazinCertificate:
     core_quasinilpotent: bool | None
 
 
+def _rank_profile(a: RingElem):
+    """Ranks of a^0, a^1, ... through first stabilization, and the powers
+    [a^0, a^1, ...] built to get them (each computed once)."""
+    ctx = a.ctx
+    powers = [ctx.one(), a]
+    ranks = [ctx.n]
+    while True:
+        if len(powers) == len(ranks):
+            powers.append(powers[-1] * a)
+        r = linalg.rank(ctx.domain, powers[len(ranks)].payload)
+        ranks.append(r)
+        if r == ranks[-2]:
+            return ranks, powers
+
+
 def index_profile(a: RingElem) -> IndexProfile:
     if not isinstance(a.ctx, MatrixContext):
         raise ContextMismatch("index_profile needs a matrix-over-field context")
-    ctx = a.ctx
-    ranks = [ctx.n]
-    p = ctx.one()
-    while True:
-        p = p * a
-        r = linalg.rank(ctx.domain, p.payload)
-        ranks.append(r)
-        if r == ranks[-2]:
-            return IndexProfile(tuple(ranks), len(ranks) - 2)
+    ranks, _ = _rank_profile(a)
+    return IndexProfile(tuple(ranks), len(ranks) - 2)
 
 
 def _reduce_against(dom, vec, basis):
@@ -88,19 +96,12 @@ def _reduce_against(dom, vec, basis):
     return v
 
 
-def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
-    """Whether b lies in the span of I, a, a^2, ... (matrix contexts).
-
-    Membership implies b is in the double commutant of a, and is cheap even
-    when the full commutant basis would be too large to compute.
-    """
-    ctx = a.ctx
-    if not isinstance(ctx, MatrixContext):
-        raise ContextMismatch("is_polynomial_in needs a matrix-over-field context")
-    dom = ctx.domain
+def _in_krylov_span_field(b: RingElem, a: RingElem) -> bool:
+    """is_polynomial_in on the domain's own entries (any field)."""
+    dom = a.ctx.domain
     basis: list = []
-    p = ctx.one()
-    for _ in range(ctx.n + 1):
+    p = a.ctx.one()
+    for _ in range(a.ctx.n + 1):
         v = _reduce_against(dom, linalg.mat_flatten(p.payload), basis)
         pivot = next((i for i, x in enumerate(v) if x != dom.zero), None)
         if pivot is None:
@@ -110,6 +111,32 @@ def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
         p = p * a
     vb = _reduce_against(dom, linalg.mat_flatten(b.payload), basis)
     return all(x == dom.zero for x in vb)
+
+
+def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
+    """Whether b lies in the span of I, a, a^2, ... (matrix contexts).
+
+    Membership implies b is in the double commutant of a, and is cheap even
+    when the full commutant basis would be too large to compute.  The powers
+    stop at the first one that adds nothing to the span.  Over Q each matrix
+    enters as a primitive integer vector and is reduced fraction-free.
+    """
+    ctx = a.ctx
+    if not isinstance(ctx, MatrixContext):
+        raise ContextMismatch("is_polynomial_in needs a matrix-over-field context")
+    if ctx.domain is not linalg.QQ:
+        return _in_krylov_span_field(b, a)
+
+    def vector(m):
+        return linalg.int_vector(linalg.mat_flatten(m.payload))
+
+    basis: list = []
+    p = ctx.one()
+    for _ in range(ctx.n + 1):
+        if not linalg.extend_basis(basis, vector(p)):
+            break
+        p = p * a
+    return not linalg.extend_basis(basis, vector(b))
 
 
 def _build_certificate(
@@ -127,29 +154,24 @@ def _build_certificate(
     if a * b != b * a:
         raise CertificationError("ab = ba failed")
     core = a - a * a * b
+    witness = nilpotency(core)
     if a * b == ctx.one():
         index = 0
         if not core.is_zero:
             raise CertificationError("unit with nonzero core part")
     else:
-        witness = nilpotency(core)
-        index = witness.index if witness.is_nilpotent else None
+        index = witness.index
     core_witness = None
     core_qnil = None
     if mode == DRAZIN:
-        core_witness = nilpotency(core)
-        if index == 0:
-            if not core.is_zero:
-                raise CertificationError("index 0 requires a zero core")
-        elif not (core_witness.is_nilpotent and core_witness.index == index):
-            raise CertificationError("core nilpotency index mismatch")
         if index is None:
             raise CertificationError("drazin core is not nilpotent")
         if a ** (index + 1) * b != a**index:
             raise CertificationError("a^(k+1) b = a^k failed")
+        core_witness = witness
     else:
         if isinstance(ctx, MatrixContext):
-            core_qnil = nilpotency(core).is_nilpotent
+            core_qnil = witness.is_nilpotent
         else:
             core_qnil = is_quasinilpotent(core, budget)
         if not core_qnil:
@@ -178,26 +200,15 @@ def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     if not isinstance(a.ctx, MatrixContext):
         raise ContextMismatch("drazin_matrix needs a matrix-over-field context")
     ctx = a.ctx
-    dom = ctx.domain
-    powers = [ctx.one(), a]
-
-    def pw(i: int) -> RingElem:
-        while len(powers) <= i:
-            powers.append(powers[-1] * a)
-        return powers[i]
-
-    ranks = [ctx.n]
-    while True:
-        r = linalg.rank(dom, pw(len(ranks)).payload)
-        ranks.append(r)
-        if r == ranks[-2]:
-            break
+    ranks, powers = _rank_profile(a)
     k = len(ranks) - 2
-    h = pw(2 * k + 1)
-    g = RingElem(ctx, linalg.inner_inverse(dom, h.payload))
+    while len(powers) <= 2 * k + 1:
+        powers.append(powers[-1] * a)
+    h = powers[2 * k + 1]
+    g = RingElem(ctx, linalg.inner_inverse(ctx.domain, h.payload))
     if h * g * h != h:
         raise CertificationError("inner inverse construction failed")
-    b = pw(k) * g * pw(k)
+    b = powers[k] * g * powers[k]
     if not is_polynomial_in(b, a):
         raise CertificationError("Drazin inverse is not a polynomial in a")
     cert = _build_certificate(a, b, mode, double_commutant_ok=True)
@@ -275,19 +286,28 @@ def _map_to_context(cert: DrazinCertificate, ctx) -> DrazinCertificate:
     )
 
 
-def _dispatch(a: RingElem, mode: str, budget: int | None):
-    ctx = a.ctx
-    if isinstance(ctx, MatrixContext):
-        return drazin_matrix(a, mode)
+def _via_field(certify, elems, budget):
+    """M_n(Z/p) over the element budget is M_n(F_p), where elimination
+    replaces an impossible sweep: run certify on the F_p copies of elems
+    and map its certificate back.  None when elems live anywhere else."""
+    ctx = elems[0].ctx
     limit = enumeration_budget() if budget is None else budget
-    if (
+    if not (
         isinstance(ctx, MatrixRingContext)
         and ctx.domain.is_field
         and ctx.element_count > limit
     ):
-        # Same ring as M_n(F_p); elimination replaces an impossible sweep.
-        cert = drazin_matrix(to_matrix_over_field(a), mode)
-        return _map_to_context(cert, ctx)
+        return None
+    return _map_to_context(certify(*map(to_matrix_over_field, elems)), ctx)
+
+
+def _dispatch(a: RingElem, mode: str, budget: int | None):
+    ctx = a.ctx
+    if isinstance(ctx, MatrixContext):
+        return drazin_matrix(a, mode)
+    cert = _via_field(lambda x: drazin_matrix(x, mode), (a,), budget)
+    if cert is not None:
+        return cert
     if isinstance(ctx, (ZModContext, MatrixRingContext)):
         if mode == DRAZIN:
             return drazin_finite_ring(a, budget)

@@ -5,17 +5,27 @@ Matrices are immutable tuples of row tuples.  Nothing in here ever touches
 floating point.  Division-based routines (rref, rank, inverse, nullspace)
 require the domain to be a field; purely multiplicative ones (mat_mul,
 det_int) work over any modulus.
+
+Over Q the kernels never do arithmetic on Fractions.  mat_mul scales each
+row of a and each column of b by the lcm of its denominators and takes
+integer dot products.  rank (through extend_basis, which drazin's Krylov
+test shares) and rref eliminate fraction-free on integer rows, as in
+Bareiss (Math. Comp. 22, 1968), but divide each new row by its content
+rather than by the previous pivot.  Fractions are built only for the
+result; rref's is exactly what the field-generic _rref_field, the routine
+Z/p uses, returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul as _mul
 
 Matrix = tuple  # tuple[tuple[entry, ...], ...]
 
 
-def is_probable_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     """Deterministic trial division; moduli in this package are small."""
     if n < 2:
         return False
@@ -53,7 +63,7 @@ class ModularDomain:
         if n < 2:
             raise ValueError("modulus must be >= 2")
         self.n = n
-        self.is_field = is_probable_prime(n)
+        self.is_field = is_prime(n)
         self.zero = 0
         self.one = 1 % n
 
@@ -101,8 +111,28 @@ def mat_neg(dom, a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _int_valued(a: Matrix) -> bool:
-    return all(v.denominator == 1 for row in a for v in row)
+def _scaled(vectors):
+    """Each rational vector as (ints, d): d the lcm of its denominators and
+    ints the integer vector d * v."""
+    out = []
+    for v in vectors:
+        d = lcm(*[x.denominator for x in v])
+        if d == 1:
+            out.append(([x.numerator for x in v], 1))
+        else:
+            out.append(([x.numerator * (d // x.denominator) for x in v], d))
+    return out
+
+
+def primitive(v: list) -> list:
+    """The integer vector v divided by its content (gcd of its entries)."""
+    g = gcd(*v)
+    return v if g < 2 else [x // g for x in v]
+
+
+def int_vector(v) -> list:
+    """The primitive integer vector spanning the same line as rational v."""
+    return primitive(_scaled((v,))[0][0])
 
 
 def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
@@ -112,14 +142,14 @@ def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
         return tuple(
             tuple(sum(map(_mul, row, col)) % n for col in cols) for row in a
         )
-    # integer-valued rational matrices multiply on plain ints (much faster)
-    if _int_valued(a) and _int_valued(b):
-        ai = tuple(tuple(v.numerator for v in row) for row in a)
-        cols_i = tuple(tuple(v.numerator for v in col) for col in cols)
-        return tuple(
-            tuple(Fraction(sum(map(_mul, row, col))) for col in cols_i) for row in ai
+    cols_i = _scaled(cols)
+    return tuple(
+        tuple(
+            Fraction(sum(map(_mul, row, col)), d_row * d_col)
+            for col, d_col in cols_i
         )
-    return tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in a)
+        for row, d_row in _scaled(a)
+    )
 
 
 def rref(dom, a: Matrix):
@@ -129,6 +159,13 @@ def rref(dom, a: Matrix):
     E invertible, and pivots the tuple of pivot column indices in
     increasing order (pivot row choice: topmost nonzero candidate).
     """
+    if dom is QQ:
+        return _rref_q(a)
+    return _rref_field(dom, a)
+
+
+def _rref_field(dom, a: Matrix):
+    """rref over any field, on the domain's own entries."""
     if not dom.is_field:
         raise ValueError("rref requires a field domain")
     nrows = len(a)
@@ -171,8 +208,73 @@ def rref(dom, a: Matrix):
     )
 
 
+def _rref_q(a: Matrix):
+    """rref over Q by the same Gauss-Jordan steps on integer rows of [a | I].
+
+    Row i starts as d_i * [a_i | e_i] (d_i its denominator lcm).  Pivot
+    choices depend only on which entries are zero, and eliminating with
+    pc * r - f * p in place of r - (f / pc) * p keeps every row a nonzero
+    multiple of the Fraction routine's row, so dividing back at the end
+    gives its (R, E, pivots) exactly.  A pivot row is divided by its pivot.
+    The Fraction routine never scales a non-pivot row, nor subtracts it from
+    another, so its E entry at its original row's position stays 1; such a
+    row is divided by that entry.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    rows = []
+    for i, (ints, d) in enumerate(_scaled(a)):
+        unit = [0] * nrows
+        unit[i] = d
+        rows.append(primitive(ints + unit))
+    origin = list(range(nrows))
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        if prow == nrows:
+            break
+        sel = next((i for i in range(prow, nrows) if rows[i][col]), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            rows[prow], rows[sel] = rows[sel], rows[prow]
+            origin[prow], origin[sel] = origin[sel], origin[prow]
+        p = rows[prow]
+        pc = p[col]
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != prow:
+                rows[i] = primitive([pc * x - f * y for x, y in zip(rows[i], p)])
+        pivots.append(col)
+        prow += 1
+    r, e = [], []
+    for i, row in enumerate(rows):
+        s = row[pivots[i]] if i < prow else row[ncols + origin[i]]
+        r.append(tuple(Fraction(x, s) for x in row[:ncols]))
+        e.append(tuple(Fraction(x, s) for x in row[ncols:]))
+    return tuple(r), tuple(e), tuple(pivots)
+
+
+def extend_basis(basis: list, v: list) -> bool:
+    """Reduce the integer vector v, fraction-free, against basis (a list of
+    (pivot, row) pairs built by this function) and append what remains
+    when it is nonzero.  Returns whether v was independent of basis."""
+    for pivot, row in basis:
+        f = v[pivot]
+        if f:
+            v = primitive([row[pivot] * x - f * y for x, y in zip(v, row)])
+    pivot = next((i for i, x in enumerate(v) if x), None)
+    if pivot is None:
+        return False
+    basis.append((pivot, v))
+    return True
+
+
 def rank(dom, a: Matrix) -> int:
-    return len(rref(dom, a)[2])
+    if dom is not QQ:
+        return len(rref(dom, a)[2])
+    basis: list = []
+    return sum(extend_basis(basis, int_vector(row)) for row in a)
 
 
 def inverse(dom, a: Matrix) -> Matrix | None:

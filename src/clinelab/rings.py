@@ -21,7 +21,7 @@ from itertools import product
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
-from .linalg import ModularDomain, QQ, is_probable_prime
+from .linalg import ModularDomain, QQ, is_prime
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
 DEFAULT_TRIPLE_BUDGET = 2**24
@@ -471,7 +471,7 @@ def rationals_matrix(n: int) -> MatrixContext:
 @lru_cache(maxsize=None)
 def prime_field_matrix(p: int, n: int) -> MatrixContext:
     """Context of n-by-n matrices over the field with p elements."""
-    if not is_probable_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     return MatrixContext(ModularDomain(p), n, f"M{n}(F{p})")
 

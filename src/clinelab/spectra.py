@@ -30,7 +30,6 @@ from .rings import MatrixContext, RingElem, rationals_matrix
 # trailing zeros; () is the zero polynomial.
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _poly_norm(coeffs):
@@ -124,21 +123,26 @@ def _as_rational_matrix(m) -> RingElem:
     return rationals_matrix(len(rows)).elem(rows)
 
 
-def _faddeev_leverrier(rows, one, div):
-    """Shared recurrence: N_1 = M, c_k = -tr(N_k)/k, N_{k+1} = M(N_k + c_k I).
-
-    div(tr, k) performs the (exact) division; entries are ints or Fractions.
-    """
-    from operator import mul as _mul
-
+def _faddeev_leverrier_int(rows):
+    """Recurrence on an integer matrix: N_1 = M, c_k = -tr(N_k)/k,
+    N_{k+1} = M(N_k + c_k I); every division is exact over Z."""
     n = len(rows)
-    coeffs = [one]
+    # M(N_k + c_k I) is formed row by row as a combination of the rows of
+    # N_k + c_k I, over the nonzero entries of that row of M only
+    support = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    coeffs = [1]
     nk = rows
     for k in range(1, n + 1):
         if k > 1:
-            cols = list(zip(*aug))
-            nk = [[sum(map(_mul, row, col)) for col in cols] for row in rows]
-        c = div(-sum(nk[i][i] for i in range(n)), k)
+            nk = []
+            for entries in support:
+                acc = [0] * n
+                for j, v in entries:
+                    acc = [x + v * y for x, y in zip(acc, aug[j])]
+                nk.append(acc)
+        c, r = divmod(-sum(nk[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("Faddeev-LeVerrier integer division not exact")
         coeffs.append(c)
         if k < n:
             aug = [list(row) for row in nk]
@@ -147,35 +151,21 @@ def _faddeev_leverrier(rows, one, div):
     return coeffs
 
 
-def _div_int_exact(tr, k):
-    q, r = divmod(tr, k)
-    if r:
-        raise AssertionError("Faddeev-LeVerrier integer division not exact")
-    return q
-
-
-def _faddeev_leverrier_int(rows):
-    return _faddeev_leverrier(rows, 1, _div_int_exact)
-
-
-def _faddeev_leverrier_frac(rows):
-    return _faddeev_leverrier(rows, _F1, lambda tr, k: tr / k)
-
-
 def char_poly(m) -> SpectrumDescriptor:
     """Characteristic polynomial det(lambda I - M) via Faddeev-LeVerrier.
 
-    Integer matrices run on plain ints (the recurrence's divisions are
-    exact over Z); anything else runs on Fractions.
+    The recurrence runs on plain ints, on d*M with d the lcm of M's
+    denominators; the coefficient of lambda^(n-k) is then divided by d^k.
     """
     elem = _as_rational_matrix(m)
     rows = elem.payload
-    if all(v.denominator == 1 for row in rows for v in row):
-        desc = _faddeev_leverrier_int([[v.numerator for v in row] for row in rows])
-    else:
-        desc = _faddeev_leverrier_frac(rows)
-    ascending = _poly_norm(tuple(reversed(desc)))
-    if len(ascending) != len(rows) + 1:
+    d = math.lcm(*[v.denominator for row in rows for v in row])
+    desc = _faddeev_leverrier_int(
+        [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    )
+    n = len(rows)
+    ascending = _poly_norm(Fraction(desc[n - j], d ** (n - j)) for j in range(n + 1))
+    if len(ascending) != n + 1:
         raise AssertionError("characteristic polynomial lost its degree")
     zero_mult = 0
     while ascending[zero_mult] == 0:

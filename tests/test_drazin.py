@@ -95,6 +95,21 @@ def test_matrix_certificates_close_defining_equations(rows):
     assert is_polynomial_in(cert.inverse, a)
 
 
+def test_rank_profile_builds_each_power_once():
+    from clinelab.drazin import _rank_profile
+
+    # index 3: a 3x3 nilpotent Jordan block beside an invertible 1x1 block
+    a = rationals_matrix(4).elem(
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
+    )
+    ranks, powers = _rank_profile(a)
+    assert ranks == [4, 3, 2, 1, 1]
+    assert len(powers) == len(ranks)
+    assert all(p == a**i for i, p in enumerate(powers))
+    assert index_profile(a).ranks == tuple(ranks)
+    assert drazin_matrix(a).index == index_profile(a).index == 3
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(

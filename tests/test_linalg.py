@@ -1,0 +1,244 @@
+"""The integer kernels over Q against the field-generic routines.
+
+Over Q, mat_mul, rank, rref and the Krylov span test work on integer
+vectors and build Fractions only for the result; char_poly runs its
+recurrence on d*M.  Each is checked here against a routine that does the
+same job on Fractions: the field-generic rref and span test (the ones Z/p
+uses), a plain triple-loop product and a Fraction Faddeev-LeVerrier.  sympy,
+when installed, is an independent oracle for rank, inverse and char_poly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from clinelab import drazin_matrix, rationals_matrix
+from clinelab.drazin import _in_krylov_span_field, is_polynomial_in
+from clinelab.linalg import (
+    QQ,
+    ModularDomain,
+    _rref_field,
+    inner_inverse,
+    inverse,
+    is_prime,
+    mat_mul,
+    rank,
+    rref,
+)
+from clinelab.spectra import char_poly
+
+BIG = 10**12
+
+
+def _entry(rng, num, den):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def _dense(rng, n, m, num=9, den=7):
+    return tuple(tuple(_entry(rng, num, den) for _ in range(m)) for _ in range(n))
+
+
+def _ref_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+              for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _low_rank(rng, n, r, num=9, den=7):
+    """A product of n x r and r x n random matrices: rank at most r."""
+    return _ref_mul(_dense(rng, n, r, num, den), _dense(rng, r, n, num, den))
+
+
+def _nilpotent_conjugate(rng, n, k):
+    """P (U + N) P^-1 with U invertible on n - k coordinates and N a k x k
+    Jordan block: index k, so the Drazin inverse is a genuine polynomial."""
+    while True:
+        p = _dense(rng, n, n)
+        p_inv = inverse(QQ, p)
+        if p_inv is not None:
+            break
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - k):
+        d[i][i] = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+    for i in range(n - k, n - 1):
+        d[i][i + 1] = Fraction(1)
+    return _ref_mul(_ref_mul(p, tuple(map(tuple, d))), p_inv)
+
+
+def _q(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def _square_cases():
+    rng = random.Random(20260518)
+    cases = {
+        "zero3": _q([[0] * 3] * 3),
+        "one-by-one": _q([[Fraction(-7, 3)]]),
+        "one-by-one-zero": _q([[0]]),
+        "identity4": _q([[int(i == j) for j in range(4)] for i in range(4)]),
+        "integer5": _q([[rng.randint(-20, 20) for _ in range(5)] for _ in range(5)]),
+        "integer-singular4": _q([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, -1, 2], [1, 3, 2, 6]]),
+        "mixed-signs6": _dense(rng, 6, 6),
+        "singular6-rank3": _low_rank(rng, 6, 3),
+        "singular5-rank1": _low_rank(rng, 5, 1),
+        "nilpotent-index3": _nilpotent_conjugate(rng, 6, 3),
+        "big-denominators5": _dense(rng, 5, 5, BIG, BIG),
+        "big-denominators-singular5": _low_rank(rng, 5, 2, BIG, BIG),
+        "zero-pivot-first": _q([[0, 1, 2], [Fraction(1, 2), 0, 1], [1, 1, 4]]),
+    }
+    return cases
+
+
+SQUARE = _square_cases()
+RECT = {
+    "wide3x5": _dense(random.Random(7), 3, 5),
+    "tall5x3": _dense(random.Random(8), 5, 3, BIG, BIG),
+    "wide-rank1": _ref_mul(_dense(random.Random(9), 3, 1), _dense(random.Random(10), 1, 5)),
+}
+ALL = {**SQUARE, **RECT}
+
+
+def _params(cases):
+    return pytest.mark.parametrize("a", list(cases.values()), ids=list(cases))
+
+
+@_params(ALL)
+def test_rref_matches_the_field_routine_exactly(a):
+    r, e, pivots = rref(QQ, a)
+    assert (r, e, pivots) == _rref_field(QQ, a)
+    assert all(type(v) is Fraction for m in (r, e) for row in m for v in row)
+    assert _ref_mul(e, a) == r
+
+
+@_params(ALL)
+def test_rank_matches_the_field_routine(a):
+    assert rank(QQ, a) == len(_rref_field(QQ, a)[2])
+
+
+@_params(ALL)
+def test_mat_mul_matches_the_fraction_product(a):
+    rng = random.Random(len(a) * 31 + len(a[0]))
+    cases = [
+        _dense(rng, len(a[0]), 4),
+        _dense(rng, len(a[0]), 3, BIG, BIG),
+        _q([[rng.randint(-5, 5) for _ in range(2)] for _ in range(len(a[0]))]),
+        _q([[0] * 3] * len(a[0])),
+    ]
+    for b in cases:
+        got = mat_mul(QQ, a, b)
+        assert got == _ref_mul(a, b)
+        assert all(type(v) is Fraction for row in got for v in row)
+
+
+@_params(SQUARE)
+def test_inverse_and_inner_inverse_match_the_field_routine(a):
+    _, e, pivots = _rref_field(QQ, a)
+    n = len(a)
+    inv = inverse(QQ, a)
+    if len(pivots) == n:
+        assert inv == e
+        assert _ref_mul(a, inv) == _q([[int(i == j) for j in range(n)] for i in range(n)])
+    else:
+        assert inv is None
+    g = inner_inverse(QQ, a)
+    expected = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(pivots):
+        expected[j] = list(e[i])
+    assert g == tuple(map(tuple, expected))
+    assert _ref_mul(_ref_mul(a, g), a) == a
+
+
+@_params(SQUARE)
+def test_krylov_span_test_matches_the_field_routine(a):
+    ctx = rationals_matrix(len(a))
+    x = ctx.elem(a)
+    x2 = (x * x).payload
+    poly = ctx.elem(
+        [[Fraction(-3, 7) * v for v in row] for row in x2]
+    ) + x + ctx.one() * 5
+    members = [ctx.one(), x, poly, drazin_matrix(x).inverse]
+    rng = random.Random(len(a))
+    others = [
+        ctx.elem(_dense(rng, len(a), len(a))),
+        ctx.elem(_dense(rng, len(a), len(a), BIG, BIG)),
+        ctx.elem([[int((i, j) == (0, len(a) - 1)) for j in range(len(a))]
+                  for i in range(len(a))]),
+    ]
+    for b in members:
+        assert is_polynomial_in(b, x)
+        assert _in_krylov_span_field(b, x)
+    for b in others:
+        assert is_polynomial_in(b, x) == _in_krylov_span_field(b, x)
+
+
+def _char_poly_ref(rows):
+    """Faddeev-LeVerrier on Fractions, ascending coefficients."""
+    n = len(rows)
+    coeffs = [Fraction(1)]
+    nk = rows
+    for k in range(1, n + 1):
+        if k > 1:
+            nk = _ref_mul(rows, aug)
+        c = -sum(nk[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        aug = tuple(
+            tuple(v + c if i == j else v for j, v in enumerate(row))
+            for i, row in enumerate(nk)
+        )
+    return tuple(reversed(coeffs))
+
+
+@_params(SQUARE)
+def test_char_poly_matches_the_fraction_recurrence(a):
+    desc = char_poly(a)
+    assert desc.char_poly == _char_poly_ref(a)
+    assert all(type(v) is Fraction for v in desc.char_poly)
+
+
+def test_prime_field_kernels_keep_the_field_routine():
+    f5 = ModularDomain(5)
+    a = ((1, 2, 3), (2, 4, 1), (3, 1, 4))
+    assert rref(f5, a) == _rref_field(f5, a)
+    assert rank(f5, a) == len(_rref_field(f5, a)[2])
+    assert is_prime(5) and is_prime(2) and not is_prime(1) and not is_prime(91)
+
+
+# --- sympy as an independent oracle -------------------------------------------
+
+
+def _sympy_matrix(sympy, a):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in a])
+
+
+def _from_sympy(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+@_params(ALL)
+def test_rank_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert rank(QQ, a) == _sympy_matrix(sympy, a).rank()
+
+
+@_params(SQUARE)
+def test_inverse_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    m = _sympy_matrix(sympy, a)
+    inv = inverse(QQ, a)
+    if m.det() == 0:
+        assert inv is None
+    else:
+        expected = m.inv()
+        assert inv == tuple(
+            tuple(_from_sympy(expected[i, j]) for j in range(len(a))) for i in range(len(a))
+        )
+
+
+@_params(SQUARE)
+def test_char_poly_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    coeffs = _sympy_matrix(sympy, a).charpoly().all_coeffs()
+    assert char_poly(a).char_poly == tuple(_from_sympy(v) for v in reversed(coeffs))
