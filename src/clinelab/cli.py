@@ -21,7 +21,7 @@ from .cline import (
     jacobson_inverse,
 )
 from .drazin import drazin_certificate, gdrazin_certificate
-from .errors import ClineLabError, SweepViolation
+from .errors import ClineLabError, InputError, SweepViolation
 from .rings import matrix_ring, try_inverse, zmod
 from .serialize import (
     certificate_to_json,
@@ -50,7 +50,10 @@ def _parse_ring(text: str):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _emit(obj) -> None:

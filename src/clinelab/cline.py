@@ -106,23 +106,20 @@ def _require_hypothesis(a, b, c) -> HypothesisReport:
     return report
 
 
-def _certify_inverse(x: RingElem, v: RingElem, mode: str, budget=None) -> DrazinCertificate:
+def _certify_inverse(x: RingElem, v: RingElem, mode: str) -> DrazinCertificate:
     """Fully re-certify a claimed (g-)Drazin inverse v of x."""
-    cert = _via_field(
-        lambda x, v: _certify_inverse(x, v, mode, budget), (x, v), budget
-    )
+    cert = _via_field(lambda x, v: _certify_inverse(x, v, mode), (x, v))
     if cert is not None:
         return cert
     if isinstance(x.ctx, MatrixContext):
         if not is_polynomial_in(v, x):
             raise CertificationError("transferred inverse is not a polynomial in its element")
-        return _build_certificate(x, v, mode, double_commutant_ok=True)
-    if not in_double_commutant(v, x, budget):
+    elif not in_double_commutant(v, x):
         raise CertificationError("transferred inverse left the double commutant")
-    return _build_certificate(x, v, mode, double_commutant_ok=True, budget=budget)
+    return _build_certificate(x, v, mode)
 
 
-def _transfer(a, b, c, direction: str, mode: str, budget=None) -> TransferResult:
+def _transfer(a, b, c, direction: str, mode: str) -> TransferResult:
     _require_hypothesis(a, b, c)
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
@@ -130,7 +127,7 @@ def _transfer(a, b, c, direction: str, mode: str, budget=None) -> TransferResult
     one = a.ctx.one()
     if direction == BACKWARD:
         source_elem = a * c
-        source = compute(source_elem, budget)
+        source = compute(source_elem)
         if source is None:
             raise MissingInverse("ac has no inverse of the requested kind")
         d = source.inverse
@@ -139,27 +136,27 @@ def _transfer(a, b, c, direction: str, mode: str, budget=None) -> TransferResult
         expected_core = b * (one - source_elem * d) * a
     else:
         source_elem = b * a
-        source = compute(source_elem, budget)
+        source = compute(source_elem)
         if source is None:
             raise MissingInverse("ba has no inverse of the requested kind")
         d = source.inverse
         target_elem = a * c
         target_inv = a * d * d * c
         expected_core = a * (one - source_elem * d) * c
-    target = _certify_inverse(target_elem, target_inv, mode, budget)
+    target = _certify_inverse(target_elem, target_inv, mode)
     if target.core != expected_core:
         raise CertificationError("core decomposition identity failed")
     return TransferResult(source=source, target=target, formula_used=direction)
 
 
-def cline_gdrazin(a, b, c, direction: str = BACKWARD, budget=None) -> TransferResult:
+def cline_gdrazin(a, b, c, direction: str = BACKWARD) -> TransferResult:
     """g-Drazin transfer: (ba)^d = b((ac)^d)^2 a and (ac)^d = a((ba)^d)^2 c."""
-    return _transfer(a, b, c, direction, GDRAZIN, budget)
+    return _transfer(a, b, c, direction, GDRAZIN)
 
 
-def cline_drazin(a, b, c, direction: str = BACKWARD, budget=None) -> TransferResult:
+def cline_drazin(a, b, c, direction: str = BACKWARD) -> TransferResult:
     """Drazin transfer; both certificates carry their indices."""
-    return _transfer(a, b, c, direction, DRAZIN, budget)
+    return _transfer(a, b, c, direction, DRAZIN)
 
 
 def nilpotency_transfer(a, b, c):
@@ -182,14 +179,14 @@ def nilpotency_transfer(a, b, c):
     return w_ac, w_ba
 
 
-def qnil_transfer(a, b, c, budget=None):
+def qnil_transfer(a, b, c):
     """Quasinilpotency flags for ac and ba; the hypothesis forces equality."""
     ctx = _require_common_context(a, b, c)
     if not ctx.is_finite_ring:
         raise ContextMismatch("qnil_transfer quantifies over comm(x); finite rings only")
     _require_hypothesis(a, b, c)
-    q_ac = is_quasinilpotent(a * c, budget)
-    q_ba = is_quasinilpotent(b * a, budget)
+    q_ac = is_quasinilpotent(a * c)
+    q_ba = is_quasinilpotent(b * a)
     if q_ac != q_ba:
         raise CertificationError("quasinilpotency transfer equivalence failed")
     return q_ac, q_ba
@@ -216,13 +213,13 @@ def jacobson_inverse(a, b, c, s: RingElem) -> RingElem:
     return t
 
 
-def special_case_formula(a, b, c, budget=None) -> bool:
+def special_case_formula(a, b, c) -> bool:
     """Under the stronger aba = aca, verify (ba)^d c = b (ac)^d exactly."""
     _require_common_context(a, b, c)
     if a * b * a != a * c * a:
         raise HypothesisViolation("special case needs aba = aca")
-    cert_ba = gdrazin_certificate(b * a, budget)
-    cert_ac = gdrazin_certificate(a * c, budget)
+    cert_ba = gdrazin_certificate(b * a)
+    cert_ac = gdrazin_certificate(a * c)
     if cert_ba is None or cert_ac is None:
         raise MissingInverse("both g-Drazin inverses must exist")
     if cert_ba.inverse * c != b * cert_ac.inverse:
@@ -230,7 +227,7 @@ def special_case_formula(a, b, c, budget=None) -> bool:
     return True
 
 
-def power_transfer(a, b, c, k: int, budget=None):
+def power_transfer(a, b, c, k: int):
     """g-Drazin certificates for (ac)^k and (ba)^k; existence must agree.
 
     The k = 2 path also validates that the substitution triple
@@ -240,8 +237,8 @@ def power_transfer(a, b, c, k: int, budget=None):
     if not isinstance(k, int) or k < 1:
         raise InputError("k must be a positive integer")
     _require_hypothesis(a, b, c)
-    cert_ac = gdrazin_certificate((a * c) ** k, budget)
-    cert_ba = gdrazin_certificate((b * a) ** k, budget)
+    cert_ac = gdrazin_certificate((a * c) ** k)
+    cert_ba = gdrazin_certificate((b * a) ** k)
     if (cert_ac is None) != (cert_ba is None):
         raise CertificationError("power transfer existence equivalence failed")
     if k == 2:

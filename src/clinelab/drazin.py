@@ -10,22 +10,21 @@ only mean a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
-from .errors import CertificationError, ContextMismatch
+from .errors import BudgetExceeded, CertificationError, ContextMismatch
 from .rings import (
     MatrixContext,
     MatrixRingContext,
     NilpotencyWitness,
     RingElem,
     ZModContext,
-    _require_budget,
     commutant,
-    enumeration_budget,
     in_double_commutant,
     is_quasinilpotent,
     nilpotency,
+    require_budget,
     to_matrix_over_field,
 )
 
@@ -46,20 +45,19 @@ class IndexProfile:
 
 @dataclass(frozen=True)
 class DrazinCertificate:
-    """A claimed inverse plus the three defining witnesses, all verified.
+    """A verified inverse with its index and core witness.
 
-    index 0 means the element is a unit (then core = 0 and ab = 1); the
-    zero element has index 1.  For mode "drazin" the core a - a^2 b carries
-    a nilpotency witness; for mode "gdrazin" a quasinilpotency flag.
+    A certificate is built only after bab = b, ab = ba and double-commutant
+    membership of b have been checked, so those carry no field.  index 0
+    means the element is a unit (then core = 0 and ab = 1); the zero
+    element has index 1.  For mode "drazin" the core a - a^2 b carries a
+    nilpotency witness; for mode "gdrazin" a quasinilpotency flag.
     """
 
     element: RingElem
     inverse: RingElem
     index: int | None
     mode: str
-    bab_equals_b: bool
-    double_commutant: bool
-    commutes: bool
     core: RingElem
     core_nilpotency: NilpotencyWitness | None
     core_quasinilpotent: bool | None
@@ -139,14 +137,9 @@ def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
     return not linalg.extend_basis(basis, vector(b))
 
 
-def _build_certificate(
-    a: RingElem,
-    b: RingElem,
-    mode: str,
-    double_commutant_ok: bool,
-    budget: int | None = None,
-) -> DrazinCertificate:
-    """Assemble and fully verify a certificate for inverse candidate b."""
+def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate:
+    """Assemble and fully verify a certificate for inverse candidate b,
+    which the caller has shown to lie in the double commutant of a."""
     ctx = a.ctx
     bab = b * a * b
     if bab != b:
@@ -173,7 +166,7 @@ def _build_certificate(
         if isinstance(ctx, MatrixContext):
             core_qnil = witness.is_nilpotent
         else:
-            core_qnil = is_quasinilpotent(core, budget)
+            core_qnil = is_quasinilpotent(core)
         if not core_qnil:
             raise CertificationError("gdrazin core is not quasinilpotent")
     return DrazinCertificate(
@@ -181,9 +174,6 @@ def _build_certificate(
         inverse=b,
         index=index,
         mode=mode,
-        bab_equals_b=True,
-        double_commutant=double_commutant_ok,
-        commutes=True,
         core=core,
         core_nilpotency=core_witness,
         core_quasinilpotent=core_qnil,
@@ -211,125 +201,113 @@ def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     b = powers[k] * g * powers[k]
     if not is_polynomial_in(b, a):
         raise CertificationError("Drazin inverse is not a polynomial in a")
-    cert = _build_certificate(a, b, mode, double_commutant_ok=True)
+    cert = _build_certificate(a, b, mode)
     if cert.index != k:
         raise CertificationError("certificate index disagrees with rank profile")
     return cert
 
 
-def _finite_ring_search(a: RingElem, core_ok, mode: str, budget):
-    """Exhaustive search of comm(a) for the unique inverse; never exits early,
-    so the uniqueness of the defining equations is actually exercised."""
-    solutions = []
-    for b in commutant(a, budget):
-        if b * a * b == b and core_ok(a - a * a * b):
-            solutions.append(b)
-    if not solutions:
-        return None
-    if len(solutions) > 1:
-        raise CertificationError(
-            f"uniqueness violated: {len(solutions)} inverses found for {a!r}"
-        )
-    b = solutions[0]
-    if not in_double_commutant(b, a, budget):
-        raise CertificationError("found inverse is not in the double commutant")
-    return _build_certificate(a, b, mode, double_commutant_ok=True, budget=budget)
+def _core_ok(core: RingElem, mode: str) -> bool:
+    if mode == DRAZIN:
+        return nilpotency(core).is_nilpotent
+    return is_quasinilpotent(core)
 
 
-def drazin_finite_ring(a: RingElem, budget: int | None = None):
-    """Exhaustive Drazin-inverse oracle for enumerable finite rings.
-
-    The search runs once per element; later calls return its certificate
-    (or None) from the ring's cache, after the same budget check.
-    """
+def _finite_ring_search(a: RingElem, mode: str):
+    """Exhaustive search of comm(a) for the unique inverse of the given mode;
+    never exits early, so the uniqueness of the defining equations is
+    actually exercised.  The search runs once per element; later calls
+    return its certificate (or None) from the ring's cache, after the same
+    budget check."""
     ctx = a.ctx
     if not ctx.is_finite_ring:
-        raise ContextMismatch("drazin_finite_ring needs a finite-ring context")
-    _require_budget(ctx, budget)
-    return ctx.cached(
-        (DRAZIN, a.payload),
-        lambda: _finite_ring_search(
-            a, lambda core: nilpotency(core).is_nilpotent, DRAZIN, budget
-        ),
-    )
+        raise ContextMismatch(f"{mode}_finite_ring needs a finite-ring context")
+    require_budget(ctx.label, ctx.element_count)
+
+    def search():
+        solutions = [
+            b for b in commutant(a) if b * a * b == b and _core_ok(a - a * a * b, mode)
+        ]
+        if not solutions:
+            return None
+        if len(solutions) > 1:
+            raise CertificationError(
+                f"uniqueness violated: {len(solutions)} inverses found for {a!r}"
+            )
+        b = solutions[0]
+        if not in_double_commutant(b, a):
+            raise CertificationError("found inverse is not in the double commutant")
+        return _build_certificate(a, b, mode)
+
+    return ctx.cached((mode, a.payload), search)
 
 
-def gdrazin_finite_ring(a: RingElem, budget: int | None = None):
+def drazin_finite_ring(a: RingElem):
+    """Exhaustive Drazin-inverse oracle for enumerable finite rings."""
+    return _finite_ring_search(a, DRAZIN)
+
+
+def gdrazin_finite_ring(a: RingElem):
     """Same search with quasinilpotency (decided by enumeration) in place of
-    nilpotency for the core part; memoized like drazin_finite_ring."""
-    ctx = a.ctx
-    if not ctx.is_finite_ring:
-        raise ContextMismatch("gdrazin_finite_ring needs a finite-ring context")
-    _require_budget(ctx, budget)
-    return ctx.cached(
-        (GDRAZIN, a.payload),
-        lambda: _finite_ring_search(
-            a, lambda core: is_quasinilpotent(core, budget), GDRAZIN, budget
-        ),
-    )
+    nilpotency for the core part."""
+    return _finite_ring_search(a, GDRAZIN)
 
 
 def _map_to_context(cert: DrazinCertificate, ctx) -> DrazinCertificate:
     """Reinterpret a certificate computed in M_n(F_p) inside M_n(Z/p);
     payloads and arithmetic are identical, only algorithm dispatch differs."""
-    return DrazinCertificate(
+    return replace(
+        cert,
         element=ctx._wrap(cert.element.payload),
         inverse=ctx._wrap(cert.inverse.payload),
-        index=cert.index,
-        mode=cert.mode,
-        bab_equals_b=cert.bab_equals_b,
-        double_commutant=cert.double_commutant,
-        commutes=cert.commutes,
         core=ctx._wrap(cert.core.payload),
-        core_nilpotency=cert.core_nilpotency,
-        core_quasinilpotent=cert.core_quasinilpotent,
     )
 
 
-def _via_field(certify, elems, budget):
+def _via_field(certify, elems):
     """M_n(Z/p) over the element budget is M_n(F_p), where elimination
     replaces an impossible sweep: run certify on the F_p copies of elems
     and map its certificate back.  None when elems live anywhere else."""
     ctx = elems[0].ctx
-    limit = enumeration_budget() if budget is None else budget
-    if not (
-        isinstance(ctx, MatrixRingContext)
-        and ctx.domain.is_field
-        and ctx.element_count > limit
-    ):
+    if not (isinstance(ctx, MatrixRingContext) and ctx.domain.is_field):
         return None
+    try:
+        require_budget(ctx.label, ctx.element_count)
+        return None
+    except BudgetExceeded:
+        pass
     return _map_to_context(certify(*map(to_matrix_over_field, elems)), ctx)
 
 
-def _dispatch(a: RingElem, mode: str, budget: int | None):
+def _dispatch(a: RingElem, mode: str):
     ctx = a.ctx
     if isinstance(ctx, MatrixContext):
         return drazin_matrix(a, mode)
-    cert = _via_field(lambda x: drazin_matrix(x, mode), (a,), budget)
+    cert = _via_field(lambda x: drazin_matrix(x, mode), (a,))
     if cert is not None:
         return cert
     if isinstance(ctx, (ZModContext, MatrixRingContext)):
         if mode == DRAZIN:
-            return drazin_finite_ring(a, budget)
-        return gdrazin_finite_ring(a, budget)
+            return drazin_finite_ring(a)
+        return gdrazin_finite_ring(a)
     raise ContextMismatch(f"unsupported context {ctx.label}")
 
 
-def drazin_certificate(a: RingElem, budget: int | None = None):
+def drazin_certificate(a: RingElem):
     """Drazin inverse via the appropriate engine for a's context."""
-    return _dispatch(a, DRAZIN, budget)
+    return _dispatch(a, DRAZIN)
 
 
-def gdrazin_certificate(a: RingElem, budget: int | None = None):
+def gdrazin_certificate(a: RingElem):
     """g-Drazin inverse; finite rings go through the enumerated
     quasinilpotency predicate so the generalized notion is tested in its
     own terms rather than collapsed to nilpotency up front."""
-    return _dispatch(a, GDRAZIN, budget)
+    return _dispatch(a, GDRAZIN)
 
 
-def group_inverse(a: RingElem, budget: int | None = None):
+def group_inverse(a: RingElem):
     """The Drazin certificate when its index is at most 1, else None."""
-    cert = drazin_certificate(a, budget)
+    cert = drazin_certificate(a)
     if cert is None or cert.index is None or cert.index > 1:
         return None
     return cert

@@ -29,7 +29,6 @@ from .cline import (
 )
 from .drazin import drazin_certificate, gdrazin_certificate, group_inverse
 from .errors import (
-    BudgetExceeded,
     CertificationError,
     ContextMismatch,
     InputError,
@@ -40,10 +39,10 @@ from .errors import (
 from .rings import (
     DEFAULT_TRIPLE_BUDGET,
     RingContext,
-    enumeration_budget,
     is_unit,
     matrix_ring,
     nilpotency,
+    require_budget,
     try_inverse,
     zmod,
 )
@@ -195,6 +194,13 @@ def _ring_from_spec(spec) -> RingContext:
     return matrix_ring(spec[1], spec[2])
 
 
+def _triple_space(ctx: RingContext) -> int:
+    """|R|^3, checked against the triple budget when it is to be walked whole."""
+    total_space = ctx.element_count**3
+    require_budget(f"{ctx.label}^3", total_space, "triples", DEFAULT_TRIPLE_BUDGET)
+    return total_space
+
+
 def _triple_by_index(ctx: RingContext, idx: int):
     count = ctx.element_count
     ci = idx % count
@@ -271,7 +277,6 @@ def sweep(
     seed: int | None = None,
     count: int | None = None,
     jobs: int = 1,
-    max_triples: int | None = None,
 ) -> SweepReport:
     """Verify the selected identities on every hypothesis triple.
 
@@ -282,20 +287,15 @@ def sweep(
     if not ctx.is_finite_ring:
         raise ContextMismatch("sweeps need an enumerable finite ring")
     selected = _normalize_theorems(theorems)
-    total_space = ctx.element_count**3
-    limit = enumeration_budget(DEFAULT_TRIPLE_BUDGET) if max_triples is None else max_triples
     started = time.perf_counter()
     if mode == "exhaustive":
-        if total_space > limit:
-            raise BudgetExceeded(
-                f"{ctx.label}^3 has {total_space} triples, over the budget {limit}"
-            )
-        indices = range(total_space)
+        indices = range(_triple_space(ctx))
         seed_out = requested = None
     elif mode == "sample":
         if seed is None or count is None:
             raise InputError("sample mode needs both seed and count")
         rng = random.Random(seed)
+        total_space = ctx.element_count**3
         indices = sorted({rng.randrange(total_space) for _ in range(count)})
         seed_out, requested = seed, count
     else:
@@ -358,19 +358,13 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     return out
 
 
-def find_separation(ctx: RingContext, limit: int, max_triples: int | None = None):
+def find_separation(ctx: RingContext, limit: int):
     """Up to `limit` triples with the hypothesis but aba != aca, in
     deterministic enumeration order."""
     if not ctx.is_finite_ring:
         raise ContextMismatch("separation search needs a finite ring")
-    total_space = ctx.element_count**3
-    budget = enumeration_budget(DEFAULT_TRIPLE_BUDGET) if max_triples is None else max_triples
-    if total_space > budget:
-        raise BudgetExceeded(
-            f"{ctx.label}^3 has {total_space} triples, over the budget {budget}"
-        )
     found = []
-    for idx in range(total_space):
+    for idx in range(_triple_space(ctx)):
         a, b, c = _triple_by_index(ctx, idx)
         report = check_hypothesis(a, b, c)
         if report.holds and not report.strong_holds:

@@ -22,20 +22,46 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul as _mul
 
+from .errors import InputError
+
 Matrix = tuple  # tuple[tuple[entry, ...], ...]
 
 
+# The first 13 primes.  No composite below MILLER_RABIN_BOUND is a strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017);
+# the bound itself is the least one that is.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli in this package are small."""
+    """Deterministic Miller-Rabin on the bases 2..41.
+
+    n with a factor among the bases is decided by that factor; any other n
+    of at least MILLER_RABIN_BOUND is beyond the proven range and raises
+    InputError.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_BOUND:
+        raise InputError(f"modulus {n} is beyond the proven primality range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -31,8 +31,10 @@ INDEX_CAP = 2**10  # finite rings with at most this many elements are indexed
 def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Active budget: CLINE_LAB_BUDGET when set, else `default`.
 
-    The one variable caps both element enumeration (the default) and sweep
-    triples (DEFAULT_TRIPLE_BUDGET); it is read on every call.
+    The variable is the only budget control.  It caps both element
+    enumeration (the default) and sweep triples (DEFAULT_TRIPLE_BUDGET),
+    and require_budget, the one place a count is checked against it, reads
+    it on every call.
     """
     raw = os.environ.get("CLINE_LAB_BUDGET")
     if raw is None:
@@ -159,7 +161,6 @@ class RingElem:
 class RingContext:
     """Common interface of the supported ring families."""
 
-    is_matrix_over_field = False
     is_finite_ring = False
     element_count: int | None = None
     label = "?"
@@ -245,8 +246,6 @@ class RingContext:
 
 class MatrixContext(RingContext):
     """n-by-n matrices over an exact field (rationals or a prime field)."""
-
-    is_matrix_over_field = True
 
     def __init__(self, domain, n: int, label: str):
         super().__init__()
@@ -510,23 +509,27 @@ def to_matrix_ring(x: RingElem) -> RingElem:
     return matrix_ring(ctx.domain.n, ctx.n)._wrap(x.payload)
 
 
-def _require_budget(ctx: RingContext, budget: int | None):
-    limit = enumeration_budget() if budget is None else budget
-    if ctx.element_count is None:
-        raise BudgetExceeded(f"{ctx.label} is not enumerable")
-    if ctx.element_count > limit:
-        raise BudgetExceeded(
-            f"{ctx.label} has {ctx.element_count} elements, over the budget {limit}"
-        )
+def require_budget(
+    label: str, count: int, unit: str = "elements", default: int = DEFAULT_ENUMERATION_BUDGET
+) -> None:
+    """Raise BudgetExceeded when `count` exceeds the active budget.
+
+    Every count checked against CLINE_LAB_BUDGET goes through here: the
+    elements a finite-ring enumeration visits, the triples of an exhaustive
+    sweep (default DEFAULT_TRIPLE_BUDGET), and the engine switch that sends
+    large prime-modulus matrix rings to elimination.
+    """
+    limit = enumeration_budget(default)
+    if count > limit:
+        raise BudgetExceeded(f"{label} has {count} {unit}, over the budget {limit}")
 
 
-def is_unit(x: RingElem, budget: int | None = None) -> bool:
+def is_unit(x: RingElem) -> bool:
     """Whether x has a two-sided multiplicative inverse.
 
     Matrices over a field: full rank.  Matrices over Z/n: unit determinant
     (equivalent to invertibility over a commutative base).  Z/n itself:
-    enumeration with early exit, falling back to a gcd test only when the
-    modulus exceeds the enumeration budget.
+    gcd(x, n) = 1.
     """
     ctx = x.ctx
     if isinstance(ctx, MatrixContext):
@@ -541,17 +544,7 @@ def is_unit(x: RingElem, budget: int | None = None) -> bool:
 
         return ctx.cached(("unit", x.payload), compute)
     if isinstance(ctx, ZModContext):
-        def compute():
-            limit = enumeration_budget() if budget is None else budget
-            if ctx.n > limit:
-                return math.gcd(x.payload, ctx.n) == 1
-            one = ctx.one()
-            for u in ctx.elements():
-                if x * u == one and u * x == one:
-                    return True
-            return False
-
-        return ctx.cached(("unit", x.payload), compute)
+        return math.gcd(x.payload, ctx.n) == 1
     raise ContextMismatch(f"unsupported context {ctx.label}")
 
 
@@ -658,7 +651,7 @@ def _commutant_basis_matrix(ctx: MatrixContext, x: RingElem):
     return tuple(RingElem(ctx, linalg.mat_unflatten(v, n, n)) for v in basis)
 
 
-def commutant(x: RingElem, budget: int | None = None):
+def commutant(x: RingElem):
     """comm(x): exact element set for finite rings, a linear basis for
     matrices over a field (the set is infinite there)."""
     ctx = x.ctx
@@ -666,7 +659,7 @@ def commutant(x: RingElem, budget: int | None = None):
         return ctx.cached(
             ("commutant", x.payload), lambda: _commutant_basis_matrix(ctx, x)
         )
-    _require_budget(ctx, budget)
+    require_budget(ctx.label, ctx.element_count)
 
     def compute():
         return tuple(y for y in ctx.elements() if x * y == y * x)
@@ -674,14 +667,14 @@ def commutant(x: RingElem, budget: int | None = None):
     return ctx.cached(("commutant", x.payload), compute)
 
 
-def in_double_commutant(b: RingElem, a: RingElem, budget: int | None = None) -> bool:
+def in_double_commutant(b: RingElem, a: RingElem) -> bool:
     """Whether b commutes with everything that commutes with a."""
     if b.ctx is not a.ctx:
         raise ContextMismatch("double-commutant test needs a common ring")
-    return all(b * y == y * b for y in commutant(a, budget))
+    return all(b * y == y * b for y in commutant(a))
 
 
-def is_quasinilpotent(x: RingElem, budget: int | None = None) -> bool:
+def is_quasinilpotent(x: RingElem) -> bool:
     """Whether 1 + yx is a unit for every y commuting with x.
 
     Finite rings decide the quantifier by enumeration; for matrices over a
@@ -690,10 +683,10 @@ def is_quasinilpotent(x: RingElem, budget: int | None = None) -> bool:
     ctx = x.ctx
     if isinstance(ctx, MatrixContext):
         return nilpotency(x).is_nilpotent
-    _require_budget(ctx, budget)
+    require_budget(ctx.label, ctx.element_count)
 
     def compute():
         one = ctx.one()
-        return all(is_unit(one + y * x) for y in commutant(x, budget))
+        return all(is_unit(one + y * x) for y in commutant(x))
 
     return ctx.cached(("qnil", x.payload), compute)

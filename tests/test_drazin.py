@@ -24,6 +24,7 @@ from clinelab import (
     to_matrix_over_field,
     zmod,
 )
+from clinelab.serialize import certificate_to_json, dumps_canonical
 
 M2Q = rationals_matrix(2)
 M2Z2 = matrix_ring(2, 2)
@@ -194,14 +195,43 @@ def test_matrix_oracle_agreement_on_m2f3_both_modes():
             assert ring_cert.index == field_cert.index
 
 
-def test_memoized_searches_keep_the_budget_gate():
+def test_memoized_searches_keep_the_budget_gate(monkeypatch):
+    firsts = {}
     for x in M2Z2.elements():
         first = (drazin_finite_ring(x), gdrazin_finite_ring(x), is_quasinilpotent(x))
         assert drazin_finite_ring(x) is first[0]
         assert gdrazin_finite_ring(x) is first[1]
+        firsts[x] = first
+    # a budget lowered after the searches are cached still gates them
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    for x in M2Z2.elements():
         for fn in (drazin_finite_ring, gdrazin_finite_ring, is_quasinilpotent):
             with pytest.raises(BudgetExceeded):
-                fn(x, budget=10)
+                fn(x)
+    monkeypatch.delenv("CLINE_LAB_BUDGET")
+    for x, first in firsts.items():
+        assert drazin_finite_ring(x) is first[0]
+        assert gdrazin_finite_ring(x) is first[1]
+
+
+def test_certificate_json_is_the_same_from_both_engines(monkeypatch):
+    # M_2(Z/3) has 81 elements: the default budget searches it exhaustively,
+    # a budget of 80 sends it to elimination over F_3 through _via_field
+    ring = matrix_ring(3, 2)
+
+    def certificates():
+        return [
+            dumps_canonical(certificate_to_json(compute(e)))
+            for e in ring.elements()
+            for compute in (drazin_certificate, gdrazin_certificate)
+        ]
+
+    searched = certificates()
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
+    with pytest.raises(BudgetExceeded):
+        drazin_finite_ring(ring.one())
+    assert certificates() == searched
+    assert len(searched) == 162
 
 
 # --- group inverse -----------------------------------------------------------

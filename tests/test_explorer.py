@@ -132,11 +132,14 @@ def test_parallel_sample_sweep_matches_sequential():
     assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
 
 
-def test_sweep_triple_budget_enforced():
+def test_sweep_triple_budget_enforced(monkeypatch):
     with pytest.raises(BudgetExceeded):
         sweep(matrix_ring(2, 3), "l26", "exhaustive")  # 512^3 triples
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        sweep(zmod(4), "l26", "exhaustive", max_triples=10)
+        sweep(zmod(4), "l26", "exhaustive")  # 64 triples > 10
+    with pytest.raises(BudgetExceeded):
+        find_separation(zmod(4), 1)
 
 
 def test_budget_env_var_overrides(monkeypatch):

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from clinelab import drazin_matrix, rationals_matrix
+from clinelab import InputError, drazin_matrix, rationals_matrix
 from clinelab.drazin import _in_krylov_span_field, is_polynomial_in
 from clinelab.linalg import (
+    MILLER_RABIN_BOUND,
     QQ,
     ModularDomain,
     _rref_field,
@@ -204,6 +205,35 @@ def test_prime_field_kernels_keep_the_field_routine():
     assert rref(f5, a) == _rref_field(f5, a)
     assert rank(f5, a) == len(_rref_field(f5, a)[2])
     assert is_prime(5) and is_prime(2) and not is_prime(1) and not is_prime(91)
+
+
+def test_is_prime_against_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if by_division(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # Carmichael numbers, and the least strong pseudoprime to the bases
+    # 2..37, which only the base 41 exposes (it is 399165290221 * 798330580441)
+    for n in (561, 1105, 41041, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59):
+        assert is_prime(n)
+    assert not is_prime(2**61 + 1)
+    # just below the bound the test still decides: the largest prime there,
+    # and an odd composite with no factor among the bases
+    assert is_prime(MILLER_RABIN_BOUND - 168)
+    assert not is_prime(MILLER_RABIN_BOUND - 8)
+
+
+def test_is_prime_rejects_moduli_beyond_the_proven_range():
+    with pytest.raises(InputError):
+        is_prime(MILLER_RABIN_BOUND)  # = 1287836182261 * 2575672364521
+    with pytest.raises(InputError):
+        is_prime(2**89 - 1)
+    assert not is_prime(2**100)  # a factor among the bases decides it
 
 
 # --- sympy as an independent oracle -------------------------------------------

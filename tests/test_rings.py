@@ -122,6 +122,15 @@ def test_one_minus_ac_from_separation_triple_is_unit():
     assert is_unit(f)
 
 
+def test_zmod_unit_test_agrees_with_enumeration():
+    # Z/n decides units by gcd; the reference is a search for an inverse
+    for n in range(2, 65):
+        ring = zmod(n)
+        one = ring.one()
+        for x in ring.elements():
+            assert is_unit(x) == any(x * u == one for u in ring.elements()), (n, x)
+
+
 def test_matrix_ring_unit_test_agrees_with_enumeration():
     one = M2Z2.one()
     for e in M2Z2.elements():
@@ -220,12 +229,14 @@ def test_commutant_of_shift_is_span_of_identity_and_shift():
         assert y * x == x * y
 
 
-def test_commutant_budget_is_enforced():
+def test_commutant_budget_is_enforced(monkeypatch):
     with pytest.raises(BudgetExceeded):
         commutant(matrix_ring(2, 6).one())
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        commutant(M2Z2.one(), budget=10)
-    assert len(commutant(M2Z2.one(), budget=16)) == 16
+        commutant(M2Z2.one())
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "16")
+    assert len(commutant(M2Z2.one())) == 16
 
 
 def test_double_commutant_membership():
