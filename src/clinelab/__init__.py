@@ -64,11 +64,9 @@ from .rings import (
     is_unit,
     matrix_ring,
     nilpotency,
-    prime_field_matrix,
     rationals_matrix,
-    to_matrix_over_field,
-    to_matrix_ring,
     try_inverse,
+    uses_elimination,
     zmod,
 )
 from .spectra import (

@@ -43,9 +43,12 @@ def _parse_ring(text: str):
         raise ClineLabError(
             f"unknown ring {text!r}; expected zmodN or matMzN (e.g. zmod8, mat2z2)"
         )
-    if m.group(1):
-        return zmod(int(m.group(1)))
-    return matrix_ring(int(m.group(3)), int(m.group(2)))
+    try:
+        if m.group(1):
+            return zmod(int(m.group(1)))
+        return matrix_ring(int(m.group(3)), int(m.group(2)))
+    except ValueError:  # a number past Python's int-string digit limit
+        raise InputError(f"ring name {text[:24]}... holds a number too long to read")
 
 
 def _load_json(path: str):
@@ -54,6 +57,8 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply")
+        except ValueError as exc:  # not JSON, not UTF-8, or past the int digit limit
+            raise InputError(f"{path}: {exc}")
 
 
 def _emit(obj) -> None:
@@ -263,7 +268,7 @@ def main(argv=None) -> int:
     except ClineLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,31 +1,30 @@
 """Drazin, group, and g-Drazin inverses with verified certificates.
 
-Matrices over exact fields get a direct algorithm (rank-stabilization index
-plus an inner inverse of a^(2k+1) from recorded row operations); enumerable
-finite rings get an exhaustive search that doubles as an independent oracle.
-Every certificate is re-verified against the defining equations before it is
-returned; a verification failure raises CertificationError because it can
-only mean a bug.
+Two engines compute an inverse.  Elimination works on any square matrix
+over a field, M_n(Q) or M_m(Z/p) with p prime: the rank-stabilization index
+plus an inner inverse of a^(2k+1) from recorded row operations.  Exhaustive
+search works on any enumerable finite ring and doubles as an independent
+oracle where both apply.  rings.uses_elimination alone chooses the engine
+for a ring.  Every certificate is re-verified against the defining
+equations before it is returned; a verification failure raises
+CertificationError because it can only mean a bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import linalg
-from .errors import BudgetExceeded, CertificationError, ContextMismatch
+from .errors import CertificationError, ContextMismatch
 from .rings import (
-    MatrixContext,
-    MatrixRingContext,
     NilpotencyWitness,
     RingElem,
-    ZModContext,
     commutant,
     in_double_commutant,
     is_quasinilpotent,
     nilpotency,
     require_budget,
-    to_matrix_over_field,
+    uses_elimination,
 )
 
 DRAZIN = "drazin"
@@ -63,24 +62,31 @@ class DrazinCertificate:
     core_quasinilpotent: bool | None
 
 
+def _field(a: RingElem, caller: str):
+    """The entry field of a's matrix ring; ContextMismatch if there is none."""
+    dom = a.ctx.domain
+    if dom is None or not dom.is_field:
+        raise ContextMismatch(f"{caller} needs a matrix over a field, not {a.ctx.label}")
+    return dom
+
+
 def _rank_profile(a: RingElem):
     """Ranks of a^0, a^1, ... through first stabilization, and the powers
     [a^0, a^1, ...] built to get them (each computed once)."""
-    ctx = a.ctx
-    powers = [ctx.one(), a]
-    ranks = [ctx.n]
+    dom = a.ctx.domain
+    powers = [a.ctx.one(), a]
+    ranks = [len(a.payload)]
     while True:
         if len(powers) == len(ranks):
             powers.append(powers[-1] * a)
-        r = linalg.rank(ctx.domain, powers[len(ranks)].payload)
+        r = linalg.rank(dom, powers[len(ranks)].payload)
         ranks.append(r)
         if r == ranks[-2]:
             return ranks, powers
 
 
 def index_profile(a: RingElem) -> IndexProfile:
-    if not isinstance(a.ctx, MatrixContext):
-        raise ContextMismatch("index_profile needs a matrix-over-field context")
+    _field(a, "index_profile")
     ranks, _ = _rank_profile(a)
     return IndexProfile(tuple(ranks), len(ranks) - 2)
 
@@ -99,7 +105,7 @@ def _in_krylov_span_field(b: RingElem, a: RingElem) -> bool:
     dom = a.ctx.domain
     basis: list = []
     p = a.ctx.one()
-    for _ in range(a.ctx.n + 1):
+    for _ in range(len(a.payload) + 1):
         v = _reduce_against(dom, linalg.mat_flatten(p.payload), basis)
         pivot = next((i for i, x in enumerate(v) if x != dom.zero), None)
         if pivot is None:
@@ -112,25 +118,22 @@ def _in_krylov_span_field(b: RingElem, a: RingElem) -> bool:
 
 
 def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
-    """Whether b lies in the span of I, a, a^2, ... (matrix contexts).
+    """Whether b lies in the span of I, a, a^2, ... (matrices over a field).
 
-    Membership implies b is in the double commutant of a, and is cheap even
-    when the full commutant basis would be too large to compute.  The powers
-    stop at the first one that adds nothing to the span.  Over Q each matrix
-    enters as a primitive integer vector and is reduced fraction-free.
+    Membership implies b is in the double commutant of a, and needs no
+    enumeration of the ring.  The powers stop at the first one that adds
+    nothing to the span.  Over Q each matrix enters as a primitive integer
+    vector and is reduced fraction-free.
     """
-    ctx = a.ctx
-    if not isinstance(ctx, MatrixContext):
-        raise ContextMismatch("is_polynomial_in needs a matrix-over-field context")
-    if ctx.domain is not linalg.QQ:
+    if _field(a, "is_polynomial_in") is not linalg.QQ:
         return _in_krylov_span_field(b, a)
 
     def vector(m):
         return linalg.int_vector(linalg.mat_flatten(m.payload))
 
     basis: list = []
-    p = ctx.one()
-    for _ in range(ctx.n + 1):
+    p = a.ctx.one()
+    for _ in range(len(a.payload) + 1):
         if not linalg.extend_basis(basis, vector(p)):
             break
         p = p * a
@@ -163,10 +166,9 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
             raise CertificationError("a^(k+1) b = a^k failed")
         core_witness = witness
     else:
-        if isinstance(ctx, MatrixContext):
-            core_qnil = witness.is_nilpotent
-        else:
-            core_qnil = is_quasinilpotent(core)
+        # elimination rings are matrices over a field, where quasinilpotent
+        # means nilpotent; enumerated rings decide the quantifier itself
+        core_qnil = witness.is_nilpotent if uses_elimination(ctx) else is_quasinilpotent(core)
         if not core_qnil:
             raise CertificationError("gdrazin core is not quasinilpotent")
     return DrazinCertificate(
@@ -181,21 +183,19 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
 
 
 def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
-    """Drazin inverse of a square matrix over an exact field.
+    """Drazin inverse of a square matrix over a field (Q or Z/p).
 
     With k the rank-stabilization index, any inner inverse G of a^(2k+1)
     yields the Drazin inverse b = a^k G a^k.  The result is unique, so the
     choice of G is safe; every witness is verified before returning.
     """
-    if not isinstance(a.ctx, MatrixContext):
-        raise ContextMismatch("drazin_matrix needs a matrix-over-field context")
-    ctx = a.ctx
+    dom = _field(a, "drazin_matrix")
     ranks, powers = _rank_profile(a)
     k = len(ranks) - 2
     while len(powers) <= 2 * k + 1:
         powers.append(powers[-1] * a)
     h = powers[2 * k + 1]
-    g = RingElem(ctx, linalg.inner_inverse(ctx.domain, h.payload))
+    g = a.ctx._wrap(linalg.inner_inverse(dom, h.payload))
     if h * g * h != h:
         raise CertificationError("inner inverse construction failed")
     b = powers[k] * g * powers[k]
@@ -222,7 +222,7 @@ def _finite_ring_search(a: RingElem, mode: str):
     ctx = a.ctx
     if not ctx.is_finite_ring:
         raise ContextMismatch(f"{mode}_finite_ring needs a finite-ring context")
-    require_budget(ctx.label, ctx.element_count)
+    require_budget(ctx)
 
     def search():
         solutions = [
@@ -253,44 +253,12 @@ def gdrazin_finite_ring(a: RingElem):
     return _finite_ring_search(a, GDRAZIN)
 
 
-def _map_to_context(cert: DrazinCertificate, ctx) -> DrazinCertificate:
-    """Reinterpret a certificate computed in M_n(F_p) inside M_n(Z/p);
-    payloads and arithmetic are identical, only algorithm dispatch differs."""
-    return replace(
-        cert,
-        element=ctx._wrap(cert.element.payload),
-        inverse=ctx._wrap(cert.inverse.payload),
-        core=ctx._wrap(cert.core.payload),
-    )
-
-
-def _via_field(certify, elems):
-    """M_n(Z/p) over the element budget is M_n(F_p), where elimination
-    replaces an impossible sweep: run certify on the F_p copies of elems
-    and map its certificate back.  None when elems live anywhere else."""
-    ctx = elems[0].ctx
-    if not (isinstance(ctx, MatrixRingContext) and ctx.domain.is_field):
-        return None
-    try:
-        require_budget(ctx.label, ctx.element_count)
-        return None
-    except BudgetExceeded:
-        pass
-    return _map_to_context(certify(*map(to_matrix_over_field, elems)), ctx)
-
-
 def _dispatch(a: RingElem, mode: str):
-    ctx = a.ctx
-    if isinstance(ctx, MatrixContext):
+    if uses_elimination(a.ctx):
         return drazin_matrix(a, mode)
-    cert = _via_field(lambda x: drazin_matrix(x, mode), (a,))
-    if cert is not None:
-        return cert
-    if isinstance(ctx, (ZModContext, MatrixRingContext)):
-        if mode == DRAZIN:
-            return drazin_finite_ring(a)
-        return gdrazin_finite_ring(a)
-    raise ContextMismatch(f"unsupported context {ctx.label}")
+    if mode == DRAZIN:
+        return drazin_finite_ring(a)
+    return gdrazin_finite_ring(a)
 
 
 def drazin_certificate(a: RingElem):

@@ -196,9 +196,8 @@ def _ring_from_spec(spec) -> RingContext:
 
 def _triple_space(ctx: RingContext) -> int:
     """|R|^3, checked against the triple budget when it is to be walked whole."""
-    total_space = ctx.element_count**3
-    require_budget(f"{ctx.label}^3", total_space, "triples", DEFAULT_TRIPLE_BUDGET)
-    return total_space
+    require_budget(ctx, 3, "triples", DEFAULT_TRIPLE_BUDGET)
+    return ctx.element_count**3
 
 
 def _triple_by_index(ctx: RingContext, idx: int):

@@ -2,7 +2,7 @@
 rationals (stdlib Fraction) and integers modulo n.
 
 Matrices are immutable tuples of row tuples.  Nothing in here ever touches
-floating point.  Division-based routines (rref, rank, inverse, nullspace)
+floating point.  Division-based routines (rref, rank, inverse, inner_inverse)
 require the domain to be a field; purely multiplicative ones (mat_mul,
 det_int) work over any modulus.
 
@@ -325,24 +325,6 @@ def inner_inverse(dom, a: Matrix) -> Matrix:
     for i, j in enumerate(pivots):
         g[j] = list(e[i])
     return tuple(tuple(row) for row in g)
-
-
-def nullspace_basis(dom, a: Matrix):
-    """Basis vectors (tuples) of the right nullspace of a over a field."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r, _, pivots = rref(dom, a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [dom.zero] * ncols
-        v[free] = dom.one
-        for i, j in enumerate(pivots):
-            v[j] = dom.canon(-r[i][free])
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def det_int(a) -> int:

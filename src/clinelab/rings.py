@@ -1,9 +1,17 @@
 """Ring contexts, ring elements, and the basic element predicates.
 
-Two ring families are supported:
+Three ring families are supported, one context type each:
 
-* square matrices over an exact field (rationals, or a prime field), and
-* enumerable finite rings (integers mod n, and square matrices over them).
+* M_n(Q), square matrices over the rationals (MatrixContext),
+* Z/n, the integers modulo n (ZModContext), and
+* M_m(Z/n), square matrices over Z/n (MatrixRingContext).
+
+Z/n and M_m(Z/n) are finite and enumerable.  Questions that quantify over
+a ring (Drazin inverses, commutants) have two engines: elimination, which
+works on any matrix over a field, and exhaustive enumeration of a finite
+ring.  uses_elimination is the one rule that chooses between them: M_n(Q)
+is always eliminated, M_m(Z/p) with p prime is eliminated when its element
+count is over the budget, and every other ring is enumerated.
 
 Elements are immutable and hashable; arithmetic always returns canonical
 payloads, so structural equality coincides with ring equality.
@@ -21,7 +29,7 @@ from itertools import product
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
-from .linalg import ModularDomain, QQ, is_prime
+from .linalg import ModularDomain, QQ
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
 DEFAULT_TRIPLE_BUDGET = 2**24
@@ -162,7 +170,7 @@ class RingContext:
     """Common interface of the supported ring families."""
 
     is_finite_ring = False
-    element_count: int | None = None
+    domain = None  # the entry domain of a matrix ring; None for Z/n
     label = "?"
 
     def __init__(self):
@@ -237,28 +245,18 @@ class RingContext:
     def element_by_index(self, i: int) -> RingElem:
         raise BudgetExceeded(f"{self.label} is not enumerable")
 
-    def index_of(self, x: RingElem) -> int:
-        raise BudgetExceeded(f"{self.label} is not enumerable")
-
     def __repr__(self):
         return self.label
 
 
-class MatrixContext(RingContext):
-    """n-by-n matrices over an exact field (rationals or a prime field)."""
-
-    def __init__(self, domain, n: int, label: str):
-        super().__init__()
-        if n < 1:
-            raise InputError("matrix size must be >= 1")
-        self.domain = domain
-        self.n = n
-        self.label = label
+class _MatrixPayloads:
+    """Payload arithmetic of size-by-size matrices over self.domain, shared
+    by the two matrix contexts."""
 
     def _canon(self, payload):
         rows = tuple(tuple(row) for row in payload)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise InputError(f"{self.label} expects a {self.n}x{self.n} matrix")
+        if len(rows) != self.size or any(len(r) != self.size for r in rows):
+            raise InputError(f"{self.label} expects a {self.size}x{self.size} matrix")
         return linalg.mat_canon(self.domain, rows)
 
     def _add(self, x, y):
@@ -271,14 +269,38 @@ class MatrixContext(RingContext):
         return linalg.mat_mul(self.domain, x, y)
 
     def _zero_payload(self):
-        return linalg.zeros(self.domain, self.n)
+        return linalg.zeros(self.domain, self.size)
 
     def _one_payload(self):
-        return linalg.identity(self.domain, self.n)
+        return linalg.identity(self.domain, self.size)
+
+
+class MatrixContext(_MatrixPayloads, RingContext):
+    """n-by-n matrices over the rationals (size is n)."""
+
+    domain = QQ
+
+    def __init__(self, n: int):
+        super().__init__()
+        if n < 1:
+            raise InputError("matrix size must be >= 1")
+        self.n = self.size = n
+        self.label = f"M{n}(Q)"
+
+
+def _power_at_most(base: int, exp: int, bound: int) -> bool:
+    """Whether base**exp <= bound, for base >= 2.  The power is built only
+    when the bit lengths allow it, so it is never much larger than bound."""
+    return exp * (base.bit_length() - 1) <= bound.bit_length() and base**exp <= bound
 
 
 class FiniteRingContext(RingContext):
-    """An enumerable finite ring whose elements are numbered 0..count-1.
+    """An enumerable finite ring of n**digits elements, numbered 0..count-1.
+
+    Every element is a string of `digits` base-n digits (one for Z/n, the
+    m*m entries for M_m(Z/n)), and its number is that string read as an
+    integer, the first digit most significant.  The count itself is built
+    only on demand: size tests go through _power_at_most.
 
     A ring of at most INDEX_CAP elements is indexed.  On first use it builds
     every element once, in enumeration order, and from then on hands out
@@ -289,19 +311,35 @@ class FiniteRingContext(RingContext):
 
     is_finite_ring = True
 
-    def __init__(self, element_count: int):
+    def __init__(self, n: int, digits: int):
         super().__init__()
-        self.element_count = element_count
-        self.indexed = element_count <= INDEX_CAP
+        self.n = n
+        self.digits = digits
+        self.indexed = _power_at_most(n, digits, INDEX_CAP)
+        self._count: int | None = None
         self._elems: tuple | None = None
         self._pos: dict | None = None
 
-    def _payloads(self):
-        """Every canonical payload, in enumeration order."""
+    @property
+    def element_count(self) -> int:
+        if self._count is None:
+            self._count = self.n**self.digits
+        return self._count
+
+    def _from_digits(self, digits: tuple):
+        """The payload with these base-n digits."""
         raise NotImplementedError
 
+    def _payloads(self):
+        """Every canonical payload, in enumeration order."""
+        return map(self._from_digits, product(range(self.n), repeat=self.digits))
+
     def _payload_at(self, i: int):
-        raise NotImplementedError
+        digits = []
+        for _ in range(self.digits):
+            i, d = divmod(i, self.n)
+            digits.append(d)
+        return self._from_digits(tuple(reversed(digits)))  # first is most significant
 
     def _product(self, i: int, j: int) -> RingElem:
         """The product of the elements with indices i and j (indexed rings)."""
@@ -346,8 +384,7 @@ class ZModContext(FiniteRingContext):
     def __init__(self, n: int):
         if n < 2:
             raise InputError("modulus must be >= 2")
-        super().__init__(n)
-        self.n = n
+        super().__init__(n, 1)
         self.label = f"Z/{n}"
 
     def _canon(self, payload):
@@ -377,23 +414,19 @@ class ZModContext(FiniteRingContext):
     def _one_payload(self):
         return 1 % self.n
 
+    def _from_digits(self, digits):
+        return digits[0]
+
     def _payloads(self):
         return range(self.n)
 
-    def _payload_at(self, i):
-        return i
 
-    def index_of(self, x: RingElem) -> int:
-        return x.payload
-
-
-class MatrixRingContext(FiniteRingContext):
+class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     """m-by-m matrices over Z/n, treated as one enumerable finite ring.
 
-    Elements are numbered by their entries read row by row as base-n digits,
-    the first entry most significant.  An indexed ring keeps its products in
-    an N-by-N table of indices that starts at -1 and fills in as pairs are
-    first multiplied.
+    The digits of an element are its entries read row by row.  An indexed
+    ring keeps its products in an N-by-N table of indices that starts at -1
+    and fills in as pairs are first multiplied.
     """
 
     def __init__(self, n: int, size: int):
@@ -401,78 +434,33 @@ class MatrixRingContext(FiniteRingContext):
             raise InputError("modulus must be >= 2")
         if size < 1:
             raise InputError("matrix size must be >= 1")
-        super().__init__(n ** (size * size))
-        self.n = n
+        super().__init__(n, size * size)
         self.size = size
         self.domain = ModularDomain(n)
         self.label = f"M{size}(Z/{n})"
         self._products: array | None = None
 
-    def _canon(self, payload):
-        rows = tuple(tuple(row) for row in payload)
-        if len(rows) != self.size or any(len(r) != self.size for r in rows):
-            raise InputError(f"{self.label} expects a {self.size}x{self.size} matrix")
-        return linalg.mat_canon(self.domain, rows)
-
-    def _add(self, x, y):
-        return linalg.mat_add(self.domain, x, y)
-
-    def _neg(self, x):
-        return linalg.mat_neg(self.domain, x)
-
-    def _mul(self, x, y):
-        return linalg.mat_mul(self.domain, x, y)
-
     def _product(self, i, j):
+        elems = self._elems
+        count = len(elems)
         table = self._products
         if table is None:
-            table = self._products = array("h", [-1]) * (self.element_count**2)
-        cell = i * self.element_count + j
+            table = self._products = array("h", [-1]) * (count * count)
+        cell = i * count + j
         k = table[cell]
         if k < 0:
-            elems = self._elems
             k = self._pos[self._mul(elems[i].payload, elems[j].payload)]
             table[cell] = k
-        return self._elems[k]
+        return elems[k]
 
-    def _zero_payload(self):
-        return linalg.zeros(self.domain, self.size)
-
-    def _one_payload(self):
-        return linalg.identity(self.domain, self.size)
-
-    def _payloads(self):
-        size = self.size
-        for digits in product(range(self.n), repeat=size * size):
-            yield linalg.mat_unflatten(digits, size, size)
-
-    def _payload_at(self, i):
-        digits = []
-        for _ in range(self.size * self.size):
-            i, d = divmod(i, self.n)
-            digits.append(d)
-        digits.reverse()  # first entry is the most significant digit
-        return linalg.mat_unflatten(tuple(digits), self.size, self.size)
-
-    def index_of(self, x: RingElem) -> int:
-        i = 0
-        for v in linalg.mat_flatten(x.payload):
-            i = i * self.n + v
-        return i
+    def _from_digits(self, digits):
+        return linalg.mat_unflatten(digits, self.size, self.size)
 
 
 @lru_cache(maxsize=None)
 def rationals_matrix(n: int) -> MatrixContext:
     """Context of n-by-n matrices over the rationals."""
-    return MatrixContext(QQ, n, f"M{n}(Q)")
-
-
-@lru_cache(maxsize=None)
-def prime_field_matrix(p: int, n: int) -> MatrixContext:
-    """Context of n-by-n matrices over the field with p elements."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return MatrixContext(ModularDomain(p), n, f"M{n}(F{p})")
+    return MatrixContext(n)
 
 
 @lru_cache(maxsize=None)
@@ -485,49 +473,50 @@ def matrix_ring(n: int, size: int) -> MatrixRingContext:
     return MatrixRingContext(n, size)
 
 
-def to_matrix_over_field(x: RingElem) -> RingElem:
-    """Reinterpret a matrix over Z/p (p prime) as a matrix over F_p.
-
-    The two contexts share payloads and arithmetic; this only switches
-    which algorithms (elimination vs enumeration) apply.
-    """
-    ctx = x.ctx
-    if isinstance(ctx, MatrixContext):
-        return x
-    if not isinstance(ctx, MatrixRingContext) or not ctx.domain.is_field:
-        raise ContextMismatch(f"{ctx.label} is not a matrix ring over a prime modulus")
-    return RingElem(prime_field_matrix(ctx.n, ctx.size), x.payload)
-
-
-def to_matrix_ring(x: RingElem) -> RingElem:
-    """Inverse of to_matrix_over_field (prime-field matrices only)."""
-    ctx = x.ctx
-    if isinstance(ctx, MatrixRingContext):
-        return x
-    if not isinstance(ctx, MatrixContext) or not isinstance(ctx.domain, ModularDomain):
-        raise ContextMismatch(f"{ctx.label} has no finite-ring counterpart")
-    return matrix_ring(ctx.domain.n, ctx.n)._wrap(x.payload)
-
-
 def require_budget(
-    label: str, count: int, unit: str = "elements", default: int = DEFAULT_ENUMERATION_BUDGET
+    ctx: FiniteRingContext,
+    power: int = 1,
+    unit: str = "elements",
+    default: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> None:
-    """Raise BudgetExceeded when `count` exceeds the active budget.
+    """Raise BudgetExceeded when |ctx|**power exceeds the active budget.
 
     Every count checked against CLINE_LAB_BUDGET goes through here: the
     elements a finite-ring enumeration visits, the triples of an exhaustive
-    sweep (default DEFAULT_TRIPLE_BUDGET), and the engine switch that sends
-    large prime-modulus matrix rings to elimination.
+    sweep (power 3, default DEFAULT_TRIPLE_BUDGET), and uses_elimination.
+    A count far over the budget is neither built nor printed in full.
     """
     limit = enumeration_budget(default)
-    if count > limit:
+    n, exp = ctx.n, ctx.digits * power
+    if not _power_at_most(n, exp, limit):
+        label = ctx.label if power == 1 else f"{ctx.label}^{power}"
+        count = n**exp if exp == 1 or _power_at_most(n, exp, 2**64) else f"{n}^{exp}"
         raise BudgetExceeded(f"{label} has {count} {unit}, over the budget {limit}")
+
+
+def uses_elimination(ctx: RingContext) -> bool:
+    """The engine rule: elimination (True) or enumeration (False) for ctx.
+
+    Elimination needs a matrix over a field and enumeration a finite ring
+    within the element budget.  So M_n(Q) is always eliminated, M_m(Z/p)
+    with p prime is eliminated exactly when it is over the budget, and Z/n
+    and M_m(Z/n) with n composite are always enumerated.
+    """
+    if ctx.domain is None or not ctx.domain.is_field:
+        return False
+    if not ctx.is_finite_ring:
+        return True
+    try:
+        require_budget(ctx)
+    except BudgetExceeded:
+        return True
+    return False
 
 
 def is_unit(x: RingElem) -> bool:
     """Whether x has a two-sided multiplicative inverse.
 
-    Matrices over a field: full rank.  Matrices over Z/n: unit determinant
+    Matrices over Q: full rank.  Matrices over Z/n: unit determinant
     (equivalent to invertibility over a commutative base).  Z/n itself:
     gcd(x, n) = 1.
     """
@@ -593,16 +582,16 @@ def _adjugate_inverse(rows, n: int):
 def nilpotency(x: RingElem) -> NilpotencyWitness:
     """Nilpotency test with exact index.
 
-    Matrices over a field stop at exponent n (the index bound); finite
-    rings stop at the first repeated power.
+    n-by-n matrices over a field stop at exponent n (the index bound);
+    other finite rings stop at the first repeated power.
     """
     ctx = x.ctx
 
     def compute():
-        if isinstance(ctx, MatrixContext):
+        if ctx.domain is not None and ctx.domain.is_field:
             zero = ctx.zero()
             p = x
-            for k in range(1, ctx.n + 1):
+            for k in range(1, len(x.payload) + 1):
                 if p == zero:
                     return NilpotencyWitness(True, k)
                 p = p * x
@@ -623,43 +612,13 @@ def nilpotency(x: RingElem) -> NilpotencyWitness:
     return ctx.cached(("nilpotency", x.payload), compute)
 
 
-def _commutant_basis_matrix(ctx: MatrixContext, x: RingElem):
-    """Basis of {y : xy = yx} as a linear space of matrices.
-
-    Solves the entrywise linear system directly: the commutator map sends
-    the unit matrix E_kl to the matrix with column l equal to column k of
-    x minus row k equal to row l of x.
-    """
-    n = ctx.n
-    dom = ctx.domain
-    xm = x.payload
-    cols = []
-    for k in range(n):
-        for l in range(n):
-            col = []
-            for i in range(n):
-                for j in range(n):
-                    v = dom.zero
-                    if j == l:
-                        v = v + xm[i][k]
-                    if i == k:
-                        v = v - xm[l][j]
-                    col.append(dom.canon(v))
-            cols.append(col)
-    system = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
-    basis = linalg.nullspace_basis(dom, system)
-    return tuple(RingElem(ctx, linalg.mat_unflatten(v, n, n)) for v in basis)
-
-
 def commutant(x: RingElem):
-    """comm(x): exact element set for finite rings, a linear basis for
-    matrices over a field (the set is infinite there)."""
+    """comm(x), the elements that commute with x, by enumeration (finite
+    rings only: over Q it is an infinite set)."""
     ctx = x.ctx
-    if isinstance(ctx, MatrixContext):
-        return ctx.cached(
-            ("commutant", x.payload), lambda: _commutant_basis_matrix(ctx, x)
-        )
-    require_budget(ctx.label, ctx.element_count)
+    if not ctx.is_finite_ring:
+        raise ContextMismatch(f"commutant enumerates its ring; {ctx.label} is infinite")
+    require_budget(ctx)
 
     def compute():
         return tuple(y for y in ctx.elements() if x * y == y * x)
@@ -677,13 +636,13 @@ def in_double_commutant(b: RingElem, a: RingElem) -> bool:
 def is_quasinilpotent(x: RingElem) -> bool:
     """Whether 1 + yx is a unit for every y commuting with x.
 
-    Finite rings decide the quantifier by enumeration; for matrices over a
-    field this is equivalent to nilpotency and answered that way.
+    Finite rings decide the quantifier by enumeration; over Q it is
+    equivalent to nilpotency and answered that way.
     """
     ctx = x.ctx
-    if isinstance(ctx, MatrixContext):
+    if not ctx.is_finite_ring:
         return nilpotency(x).is_nilpotent
-    require_budget(ctx.label, ctx.element_count)
+    require_budget(ctx)
 
     def compute():
         one = ctx.one()

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .drazin import DrazinCertificate
 from .errors import InputError
-from .linalg import ModularDomain
 from .rings import (
     MatrixContext,
     MatrixRingContext,
@@ -82,11 +81,6 @@ def element_from_json(obj) -> RingElem:
 def element_to_json(elem: RingElem) -> dict:
     ctx = elem.ctx
     if isinstance(ctx, MatrixContext):
-        if isinstance(ctx.domain, ModularDomain):
-            return {
-                "ring": {"type": "MatZmod", "n": ctx.domain.n, "size": ctx.n},
-                "entries": [list(row) for row in elem.payload],
-            }
         return {
             "ring": {"type": "Q"},
             "entries": [[str(v) for v in row] for row in elem.payload],

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .drazin import drazin_matrix
 from .errors import ContextMismatch, InputError, ReadingValidationError
-from .linalg import QQ
 from .rings import MatrixContext, RingElem, rationals_matrix
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ class SpectrumDescriptor:
 
 def _as_rational_matrix(m) -> RingElem:
     if isinstance(m, RingElem):
-        if not isinstance(m.ctx, MatrixContext) or m.ctx.domain is not QQ:
+        if not isinstance(m.ctx, MatrixContext):
             raise ContextMismatch("expected a matrix over the rationals")
         return m
     rows = [list(r) for r in m]

@@ -1,0 +1,71 @@
+"""Independent references that the tests compare clinelab against.
+
+The library decides double-commutant membership over Q by a polynomial
+witness and numbers finite-ring elements through their index; these
+helpers recompute both from the definitions.
+"""
+
+from clinelab import linalg
+from clinelab.rings import RingElem
+
+
+def nullspace_basis(dom, a):
+    """Basis vectors (tuples) of the right nullspace of a over a field."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r, _, pivots = linalg.rref(dom, a)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [dom.zero] * ncols
+        v[free] = dom.one
+        for i, j in enumerate(pivots):
+            v[j] = dom.canon(-r[i][free])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def commutant_basis(x: RingElem):
+    """Basis of {y : xy = yx} as a linear space of matrices over a field.
+
+    Solves the entrywise linear system directly: the commutator map sends
+    the unit matrix E_kl to the matrix with column l equal to column k of
+    x minus row k equal to row l of x.
+    """
+    ctx = x.ctx
+    n = len(x.payload)
+    dom = ctx.domain
+    xm = x.payload
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            col = []
+            for i in range(n):
+                for j in range(n):
+                    v = dom.zero
+                    if j == l:
+                        v = v + xm[i][k]
+                    if i == k:
+                        v = v - xm[l][j]
+                    col.append(dom.canon(v))
+            cols.append(col)
+    system = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
+    basis = nullspace_basis(dom, system)
+    return tuple(ctx.elem(linalg.mat_unflatten(v, n, n)) for v in basis)
+
+
+def in_double_commutant_by_basis(b: RingElem, a: RingElem) -> bool:
+    """Whether b commutes with every element of a basis of comm(a)."""
+    return all(b * y == y * b for y in commutant_basis(a))
+
+
+def index_by_digits(ring, e: RingElem) -> int:
+    """e's position in ring's enumeration: its entries read row by row as
+    base-n digits, the first entry most significant."""
+    entries = [e.payload] if isinstance(e.payload, int) else linalg.mat_flatten(e.payload)
+    i = 0
+    for v in entries:
+        i = i * ring.n + v
+    return i

@@ -349,3 +349,39 @@ def test_explore_sweep_jobs_flag_is_output_invariant(capsys):
 def test_bad_ring_name(capsys):
     code, _, err = _run(capsys, ["explore", "sweep", "--ring", "banana"])
     assert code == 2 and "unknown ring" in err
+
+
+def _assert_quick_input_error(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - started < 2
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    return err
+
+
+@pytest.mark.parametrize("command", ["sweep", "separations"])
+@pytest.mark.parametrize("ring", ["mat100z2", "mat2000z3", "mat2000z7"])
+def test_huge_matrix_ring_searches_exit_2_without_building_the_count(capsys, command, ring):
+    # |M_100(Z/2)|^3 = 2^30000 has over 4300 decimal digits, past what
+    # Python will print; |M_2000(Z/7)| takes seconds to build at all
+    err = _assert_quick_input_error(capsys, ["explore", command, "--ring", ring])
+    assert "triples, over the budget" in err
+
+
+def test_matzmod_literal_of_huge_size_exits_2_quickly(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "elem.json",
+        {"ring": {"type": "MatZmod", "n": 2, "size": 100000}, "entries": [[0]]},
+    )
+    err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", path])
+    assert "100000x100000" in err
+
+
+def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
+    digits = "9" * 5000
+    _assert_quick_input_error(capsys, ["explore", "sweep", "--ring", "zmod" + digits])
+    path = tmp_path / "elem.json"
+    path.write_text('{"ring": {"type": "Zmod", "n": %s}, "entries": 1}' % digits)
+    _assert_quick_input_error(capsys, ["drazin", "compute", "--input", str(path)])

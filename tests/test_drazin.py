@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import in_double_commutant_by_basis
 
 from clinelab import (
     BudgetExceeded,
@@ -20,8 +21,8 @@ from clinelab import (
     is_quasinilpotent,
     matrix_ring,
     nilpotency,
+    example_29_triple,
     rationals_matrix,
-    to_matrix_over_field,
     zmod,
 )
 from clinelab.serialize import certificate_to_json, dumps_canonical
@@ -121,7 +122,7 @@ def test_matrix_inverse_lies_in_double_commutant(rows):
     # the polynomial witness cross-checked against the commutant basis
     a = rationals_matrix(3).elem(rows)
     cert = drazin_matrix(a)
-    assert in_double_commutant(cert.inverse, a)
+    assert in_double_commutant_by_basis(cert.inverse, a)
 
 
 # --- finite ring oracle ------------------------------------------------------
@@ -165,10 +166,9 @@ def test_gdrazin_certificate_flags_quasinilpotent_core():
 
 def test_polynomial_witness_matches_basis_check_over_prime_field():
     # the cheap double-commutant witness (inverse is a polynomial in the
-    # element) cross-checked against the commutant-basis definition, here
-    # over F_2 where the elimination runs in characteristic 2
-    for e in M2Z2.elements():
-        a = to_matrix_over_field(e)
+    # element) cross-checked against the enumerated commutant, here over
+    # F_2 where the elimination runs in characteristic 2
+    for a in M2Z2.elements():
         cert = drazin_matrix(a)
         assert is_polynomial_in(cert.inverse, a)
         assert in_double_commutant(cert.inverse, a)
@@ -178,7 +178,7 @@ def test_polynomial_witness_matches_basis_check_over_prime_field():
 def test_matrix_oracle_agreement_on_small_f2_rings(size):
     ring = matrix_ring(2, size)
     for e in ring.elements():
-        field_cert = drazin_matrix(to_matrix_over_field(e))
+        field_cert = drazin_matrix(e)
         ring_cert = drazin_finite_ring(e)
         assert field_cert.inverse.payload == ring_cert.inverse.payload
         assert field_cert.index == ring_cert.index
@@ -189,7 +189,7 @@ def test_matrix_oracle_agreement_on_m2f3_both_modes():
     assert ring.element_count == 81
     for e in ring.elements():
         for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
-            field_cert = drazin_matrix(to_matrix_over_field(e), mode)
+            field_cert = drazin_matrix(e, mode)
             ring_cert = search(e)
             assert ring_cert.inverse.payload == field_cert.inverse.payload
             assert ring_cert.index == field_cert.index
@@ -216,7 +216,7 @@ def test_memoized_searches_keep_the_budget_gate(monkeypatch):
 
 def test_certificate_json_is_the_same_from_both_engines(monkeypatch):
     # M_2(Z/3) has 81 elements: the default budget searches it exhaustively,
-    # a budget of 80 sends it to elimination over F_3 through _via_field
+    # a budget of 80 sends it to elimination over F_3 (uses_elimination)
     ring = matrix_ring(3, 2)
 
     def certificates():
@@ -271,6 +271,29 @@ def test_dispatcher_context_errors():
         drazin_matrix(Z4.one())
     with pytest.raises(ContextMismatch):
         drazin_finite_ring(M2Q.one())
+
+
+def test_elimination_needs_a_field():
+    # Z/4 is not a field: M_2(Z/4) has no elimination engine
+    with pytest.raises(ContextMismatch):
+        drazin_matrix(matrix_ring(4, 2).elem([[2, 1], [0, 2]]))
+
+
+def test_eliminated_certificate_stays_in_its_ring():
+    a, _, c = example_29_triple()
+    cert = drazin_certificate(a * c)
+    ring = matrix_ring(2, 6)
+    assert cert.element.ctx is ring
+    assert cert.inverse.ctx is ring
+    assert cert.core.ctx is ring
+
+
+def test_elimination_on_an_indexed_ring_hands_out_interned_elements():
+    ring = matrix_ring(3, 2)
+    for mode in ("drazin", "gdrazin"):
+        cert = drazin_matrix(ring.elem([[1, 2], [2, 1]]), mode)
+        for x in (cert.element, cert.inverse, cert.core):
+            assert x.idx is not None and ring.elements()[x.idx] is x
 
 
 def test_gdrazin_dispatcher_on_matrix_context_marks_mode():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 
 import pytest
+from oracles import index_by_digits
 
 from clinelab import (
     BudgetExceeded,
@@ -155,7 +156,8 @@ def _example_29_triple_index():
     a, b, c = example_29_triple()
     ctx = a.ctx
     n = ctx.element_count
-    return (ctx.index_of(a) * n + ctx.index_of(b)) * n + ctx.index_of(c)
+    i, j, k = (index_by_digits(ctx, x) for x in (a, b, c))
+    return (i * n + j) * n + k
 
 
 def test_checks_run_on_ring_beyond_element_budget():

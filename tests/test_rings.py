@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import commutant_basis, in_double_commutant_by_basis, index_by_digits
 
 from clinelab import (
     BudgetExceeded,
@@ -17,11 +18,9 @@ from clinelab import (
     is_unit,
     matrix_ring,
     nilpotency,
-    prime_field_matrix,
     rationals_matrix,
-    to_matrix_over_field,
-    to_matrix_ring,
     try_inverse,
+    uses_elimination,
     zmod,
 )
 
@@ -117,9 +116,11 @@ def test_one_minus_ac_from_separation_triple_is_unit():
     k = nilpotency(ac)
     assert k.is_nilpotent and k.index <= 6
     assert is_unit(a.ctx.one() - ac)
-    # same conclusion through the prime-field matrix view
-    f = to_matrix_over_field(a.ctx.one() - ac)
-    assert is_unit(f)
+    # same conclusion by elimination over F_2: full rank
+    from clinelab import linalg
+
+    u = a.ctx.one() - ac
+    assert linalg.rank(u.ctx.domain, u.payload) == 6
 
 
 def test_zmod_unit_test_agrees_with_enumeration():
@@ -212,7 +213,7 @@ def test_commutant_of_one_is_whole_ring():
 
 def test_commutant_of_distinct_eigenvalue_diagonal_is_diagonal():
     d = M2Q.elem([[1, 0], [0, 2]])
-    basis = commutant(d)
+    basis = commutant_basis(d)
     assert len(basis) == 2
     for y in basis:
         assert y.payload[0][1] == 0 and y.payload[1][0] == 0
@@ -220,7 +221,7 @@ def test_commutant_of_distinct_eigenvalue_diagonal_is_diagonal():
 
 def test_commutant_of_shift_is_span_of_identity_and_shift():
     x = M2Q.elem([[0, 1], [0, 0]])
-    basis = commutant(x)
+    basis = commutant_basis(x)
     assert len(basis) == 2
     for y in basis:
         # solving xy = yx entrywise forces y = alpha I + beta x
@@ -241,9 +242,18 @@ def test_commutant_budget_is_enforced(monkeypatch):
 
 def test_double_commutant_membership():
     a = M2Q.elem([[0, 1], [0, 0]])
-    assert in_double_commutant(a, a)
-    assert in_double_commutant(M2Q.one(), a)
-    assert not in_double_commutant(M2Q.elem([[1, 0], [0, 0]]), a)
+    assert in_double_commutant_by_basis(a, a)
+    assert in_double_commutant_by_basis(M2Q.one(), a)
+    assert not in_double_commutant_by_basis(M2Q.elem([[1, 0], [0, 0]]), a)
+
+
+def test_commutant_is_finite_ring_only():
+    # over Q the commutant is an infinite set; no engine enumerates it
+    a = M2Q.elem([[0, 1], [0, 0]])
+    with pytest.raises(ContextMismatch):
+        commutant(a)
+    with pytest.raises(ContextMismatch):
+        in_double_commutant(a, a)
 
 
 def test_double_commutant_implies_commuting():
@@ -292,7 +302,8 @@ def test_quasinilpotent_equals_nilpotent_in_tested_finite_rings(ring):
 @given(st.integers(0, 15))
 def test_element_index_round_trip(i):
     e = M2Z2.element_by_index(i)
-    assert M2Z2.index_of(e) == i
+    assert e.idx == i
+    assert index_by_digits(M2Z2, e) == i
 
 
 def test_enumeration_is_lexicographic_in_payload():
@@ -342,7 +353,7 @@ def test_enumeration_agrees_with_element_by_index(ring):
     # indexed rings enumerate through the index, larger ones on payloads
     for i, e in enumerate(ring.elements()):
         assert ring.element_by_index(i) == e
-        assert ring.index_of(e) == i
+        assert index_by_digits(ring, e) == i
     assert i == ring.element_count - 1
 
 
@@ -357,13 +368,33 @@ def test_indexed_arithmetic_matches_payload_arithmetic(ring):
             assert (x + y).payload == ring._add(x.payload, y.payload)
 
 
-def test_matrix_ring_field_conversions():
-    e = M2Z2.elem([[1, 1], [0, 1]])
-    f = to_matrix_over_field(e)
-    assert f.ctx is prime_field_matrix(2, 2)
-    assert to_matrix_ring(f) == e
-    with pytest.raises(ContextMismatch):
-        to_matrix_over_field(matrix_ring(4, 2).one())
+# --- the engine rule -----------------------------------------------------------
+
+
+def test_uses_elimination_on_each_ring_family(monkeypatch):
+    assert uses_elimination(M2Q)
+    assert not uses_elimination(Z8)
+    # Z/4 is not a field, so M_2(Z/4) is enumerated at any budget
+    assert not uses_elimination(matrix_ring(4, 2))
+    assert uses_elimination(matrix_ring(2, 6))  # 2^36 elements
+    m2z3 = matrix_ring(3, 2)  # 81 elements
+    assert not uses_elimination(m2z3)
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
+    assert uses_elimination(m2z3)
+    assert not uses_elimination(matrix_ring(4, 2))
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "81")
+    assert not uses_elimination(m2z3)
+
+
+def test_huge_rings_are_built_and_gated_without_their_counts():
+    # M_2000(Z/3) has 3^4000000 elements: neither the context nor the budget
+    # check may build that integer, and the message names it as a power
+    ring = matrix_ring(3, 2000)
+    assert not ring.indexed and ring._count is None
+    assert uses_elimination(ring)
+    with pytest.raises(BudgetExceeded, match=r"M2000\(Z/3\) has 3\^4000000 elements"):
+        commutant(ring.zero())
+    assert ring._count is None
 
 
 def _det_cofactor(rows):
