@@ -10,6 +10,7 @@ JSON for identical inputs, including the sample seed and the worker count).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -340,14 +341,17 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     Exhaustive sweeps pass a range, whose slices are ranges and pickle in
     constant size; sampled sweeps pass their sorted index list.  Blocks
     merge in index order, so the outcome (including which violation wins:
-    the lowest-index one) matches a sequential scan exactly.
+    the lowest-index one) matches a sequential scan exactly, whatever the
+    number of workers.  That number is capped at the CPU count: a pool
+    starts all its workers at once.
     """
     spec = _ring_spec(ctx)
-    size = max(len(indices) // (jobs * 4), 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    size = max(len(indices) // (workers * 4), 1)
     tasks = [
         (spec, indices[i : i + size], selected) for i in range(0, len(indices), size)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_scan_block, tasks))
     out = []
     for part in results:

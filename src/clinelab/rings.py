@@ -102,14 +102,22 @@ class RingElem:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ctx._wrap(self.ctx._add(self.payload, other.payload))
+        ctx = self.ctx
+        if type(other) is not RingElem or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        i, j = self.idx, other.idx
+        if i is not None and j is not None:
+            return ctx._sum(i, j)
+        return ctx._wrap(ctx._add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
+        i = self.idx
+        if i is not None:
+            return self.ctx._negation(i)
         return self.ctx._wrap(self.ctx._neg(self.payload))
 
     def __sub__(self, other):
@@ -304,9 +312,11 @@ class FiniteRingContext(RingContext):
 
     A ring of at most INDEX_CAP elements is indexed.  On first use it builds
     every element once, in enumeration order, and from then on hands out
-    only those objects, each carrying its index: products are found by index
-    (see _product), sums and negations are computed on payloads and then
-    looked up.  Larger rings compute every result on payloads.
+    only those objects, each carrying its index: products, sums and
+    negations are found by index (_product, _sum, _negation), and each
+    element's commuting mask, the bitset of the indices of the elements
+    that commute with it, is built on first use and kept.  Larger rings
+    compute every result on payloads.
     """
 
     is_finite_ring = True
@@ -319,6 +329,7 @@ class FiniteRingContext(RingContext):
         self._count: int | None = None
         self._elems: tuple | None = None
         self._pos: dict | None = None
+        self._masks: list | None = None
 
     @property
     def element_count(self) -> int:
@@ -341,9 +352,30 @@ class FiniteRingContext(RingContext):
             digits.append(d)
         return self._from_digits(tuple(reversed(digits)))  # first is most significant
 
+    # index arithmetic of indexed rings, provided by subclasses
     def _product(self, i: int, j: int) -> RingElem:
-        """The product of the elements with indices i and j (indexed rings)."""
         raise NotImplementedError
+
+    def _sum(self, i: int, j: int) -> RingElem:
+        raise NotImplementedError
+
+    def _negation(self, i: int) -> RingElem:
+        raise NotImplementedError
+
+    def _commuting_mask(self, i: int) -> int:
+        """Bit j is set when the elements with indices i and j commute."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = [None] * len(self._elems)
+        mask = masks[i]
+        if mask is None:
+            product = self._product
+            mask = 0
+            for j in range(len(masks)):
+                if product(i, j) is product(j, i):
+                    mask |= 1 << j
+            masks[i] = mask
+        return mask
 
     def _index(self) -> tuple:
         if self._elems is None:
@@ -408,6 +440,12 @@ class ZModContext(FiniteRingContext):
     def _product(self, i, j):
         return self._elems[(i * j) % self.n]
 
+    def _sum(self, i, j):
+        return self._elems[(i + j) % self.n]
+
+    def _negation(self, i):
+        return self._elems[-i % self.n]
+
     def _zero_payload(self):
         return 0
 
@@ -425,8 +463,9 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     """m-by-m matrices over Z/n, treated as one enumerable finite ring.
 
     The digits of an element are its entries read row by row.  An indexed
-    ring keeps its products in an N-by-N table of indices that starts at -1
-    and fills in as pairs are first multiplied.
+    ring of N elements keeps its products and sums in N-by-N tables of
+    indices and its negations in a table of N; each starts at -1 and fills
+    in as results are first asked for.
     """
 
     def __init__(self, n: int, size: int):
@@ -439,19 +478,45 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         self.domain = ModularDomain(n)
         self.label = f"M{size}(Z/{n})"
         self._products: array | None = None
+        self._sums: array | None = None
+        self._negations: array | None = None
+
+    def _fill(self, name: str, cell: int, op, *indices) -> int:
+        """Store in cell of the table `name` the index of op applied to the
+        payloads of the elements with these indices, and return it.  The
+        table, N**len(indices) cells of -1, is made on its first fill."""
+        table = getattr(self, name)
+        elems = self._elems
+        if table is None:
+            table = array("h", [-1]) * len(elems) ** len(indices)
+            setattr(self, name, table)
+        k = table[cell] = self._pos[op(*[elems[i].payload for i in indices])]
+        return k
 
     def _product(self, i, j):
         elems = self._elems
-        count = len(elems)
+        cell = i * len(elems) + j
         table = self._products
-        if table is None:
-            table = self._products = array("h", [-1]) * (count * count)
-        cell = i * count + j
-        k = table[cell]
+        k = -1 if table is None else table[cell]
         if k < 0:
-            k = self._pos[self._mul(elems[i].payload, elems[j].payload)]
-            table[cell] = k
+            k = self._fill("_products", cell, self._mul, i, j)
         return elems[k]
+
+    def _sum(self, i, j):
+        elems = self._elems
+        cell = i * len(elems) + j
+        table = self._sums
+        k = -1 if table is None else table[cell]
+        if k < 0:
+            k = self._fill("_sums", cell, self._add, i, j)
+        return elems[k]
+
+    def _negation(self, i):
+        table = self._negations
+        k = -1 if table is None else table[i]
+        if k < 0:
+            k = self._fill("_negations", i, self._neg, i)
+        return self._elems[k]
 
     def _from_digits(self, digits):
         return linalg.mat_unflatten(digits, self.size, self.size)
@@ -613,12 +678,16 @@ def nilpotency(x: RingElem) -> NilpotencyWitness:
 
 
 def commutant(x: RingElem):
-    """comm(x), the elements that commute with x, by enumeration (finite
-    rings only: over Q it is an infinite set)."""
+    """comm(x), the elements that commute with x, in enumeration order
+    (finite rings only: over Q it is an infinite set).  An indexed ring
+    reads it off x's commuting mask."""
     ctx = x.ctx
     if not ctx.is_finite_ring:
         raise ContextMismatch(f"commutant enumerates its ring; {ctx.label} is infinite")
     require_budget(ctx)
+    if x.idx is not None:
+        mask = ctx._commuting_mask(x.idx)
+        return tuple(y for y in ctx._elems if mask >> y.idx & 1)
 
     def compute():
         return tuple(y for y in ctx.elements() if x * y == y * x)
@@ -627,9 +696,14 @@ def commutant(x: RingElem):
 
 
 def in_double_commutant(b: RingElem, a: RingElem) -> bool:
-    """Whether b commutes with everything that commutes with a."""
-    if b.ctx is not a.ctx:
+    """Whether b commutes with everything that commutes with a.  In an
+    indexed ring: whether every bit of a's commuting mask is set in b's."""
+    ctx = a.ctx
+    if b.ctx is not ctx:
         raise ContextMismatch("double-commutant test needs a common ring")
+    if a.idx is not None:
+        require_budget(ctx)
+        return ctx._commuting_mask(a.idx) & ~ctx._commuting_mask(b.idx) == 0
     return all(b * y == y * b for y in commutant(a))
 
 

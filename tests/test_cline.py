@@ -107,6 +107,48 @@ def test_context_mismatch():
         check_hypothesis(Z4.one(), Z8.one(), Z8.one())
 
 
+def test_guard_after_a_holding_triple_still_refuses_a_failing_one():
+    one, two = Z8.elem(1), Z8.elem(2)
+    assert check_hypothesis(one, one, one).holds
+    # same a and b objects, another c: the last report must not be reused
+    assert not check_hypothesis(one, one, two).holds
+    assert check_hypothesis(one, one, one).holds
+    for guarded in (cline_drazin, cline_gdrazin, nilpotency_transfer, units_transfer):
+        with pytest.raises(HypothesisViolation):
+            guarded(one, one, two)
+
+
+def test_equal_but_distinct_rational_triples_get_a_fresh_report():
+    def triple():
+        return (
+            M2Q.elem([[0, 1], [0, 0]]),
+            M2Q.elem([[0, 1], [0, 0]]),
+            M2Q.elem([[0, 0], [1, 0]]),
+        )
+
+    first = check_hypothesis(*triple())
+    again = check_hypothesis(*triple())
+    assert again is not first
+    assert again == first and not again.holds
+    a, b, _ = triple()
+    holding = check_hypothesis(a, b, b)
+    assert holding.holds and holding.strong_holds
+    assert holding.products == ((a * b) * (a * b) * a,) * 4
+
+
+def test_report_products_match_the_twelve_product_definition():
+    ring = matrix_ring(2, 2)
+    for a, b, c in itertools.product(ring.elements(), repeat=3):
+        ab, ac = a * b, a * c
+        products = (ab * ab * a, ab * ac * a, ac * ab * a, ac * ac * a)
+        report = check_hypothesis(a, b, c)
+        assert report.products == products
+        p1, p2, p3, p4 = products
+        assert report.pairwise == (p1 == p2, p1 == p3, p1 == p4, p2 == p3, p2 == p4, p3 == p4)
+        assert report.holds == all(report.pairwise)
+        assert report.strong_holds == (ab * a == ac * a)
+
+
 # --- transfers ---------------------------------------------------------------
 
 

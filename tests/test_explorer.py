@@ -127,6 +127,56 @@ def test_sweep_canonical_output_is_pinned(ring, kwargs, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_zmod32_all_checks_sweep_is_pinned():
+    # recorded before sums, negations and commutants were read off index
+    # tables and the hypothesis report was reused by each triple's guards
+    report = sweep(zmod(32))
+    counts = (
+        report.triples_total,
+        report.triples_hypothesis,
+        report.triples_strong,
+        len(report.separations_found),
+    )
+    assert counts == (32768, 12288, 7680, 4608)
+    text = dumps_canonical(report.to_json())
+    digest = "438dd97caa1887b2c8ee1e6d93e8ec2d16faf60a8357b276b9c998bf200f1b37"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
+    # an in-process stand-in for the pool: no worker process is started
+    import clinelab.explorer as explorer
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return [fn(task) for task in self.tasks]
+
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    expected = dumps_canonical(sweep(zmod(6), jobs=1).to_json())
+    for cpus, jobs, workers in ((2, 10**6, 2), (None, 10**6, 1), (8, 3, 3)):
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+        report = sweep(zmod(6), jobs=jobs)
+        assert dumps_canonical(report.to_json()) == expected
+        pool = pools[-1]
+        assert pool.max_workers == workers
+        # 216 triples in blocks of 216 // (4 * workers)
+        assert len(pool.tasks) == -(-216 // (216 // (4 * workers)))
+
+
 def test_parallel_sample_sweep_matches_sequential():
     seq = sweep(matrix_ring(2, 2), "l26", "sample", seed=3, count=150, jobs=1)
     par = sweep(matrix_ring(2, 2), "l26", "sample", seed=3, count=150, jobs=2)

@@ -1,5 +1,6 @@
 """Contexts, canonical payloads, and the element predicates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,73 @@ def test_indexed_arithmetic_matches_payload_arithmetic(ring):
         for y in els:
             assert (x * y).payload == ring._mul(x.payload, y.payload)
             assert (x + y).payload == ring._add(x.payload, y.payload)
+
+
+def test_indexed_sums_and_negations_are_interned_on_m2z4():
+    # M_2(Z/4) is not a field; every sum, negation and difference read from
+    # the tables must be the payload result, handed out as the interned element
+    ring = matrix_ring(4, 2)
+    els = ring.elements()
+    for x in els:
+        neg = -x
+        assert neg.payload == ring._neg(x.payload)
+        assert neg is els[ring._pos[neg.payload]]
+        for y in els:
+            s, d = x + y, x - y
+            assert s.payload == ring._add(x.payload, y.payload)
+            assert d.payload == ring._add(x.payload, ring._neg(y.payload))
+            assert s is els[ring._pos[s.payload]]
+            assert d is els[ring._pos[d.payload]]
+
+
+def _commutant_by_payloads(ring, a):
+    """comm(a) by payload products, independent of the index tables."""
+    mul = ring._mul
+    return [y for y in ring.elements() if mul(a.payload, y.payload) == mul(y.payload, a.payload)]
+
+
+def _in_double_commutant_by_payloads(ring, b, comm_a):
+    mul = ring._mul
+    return all(mul(b.payload, y.payload) == mul(y.payload, b.payload) for y in comm_a)
+
+
+@pytest.mark.parametrize("ring", [M2Z2, matrix_ring(3, 2)])
+def test_double_commutant_mask_test_matches_enumeration(ring):
+    els = ring.elements()
+    for a in els:
+        comm_a = _commutant_by_payloads(ring, a)
+        for b in els:
+            assert in_double_commutant(b, a) == _in_double_commutant_by_payloads(ring, b, comm_a)
+
+
+def test_double_commutant_mask_test_matches_enumeration_on_m2z4_sample():
+    ring = matrix_ring(4, 2)
+    els = ring.elements()
+    rng = random.Random(20)
+    for a in rng.sample(els, 24):
+        comm_a = _commutant_by_payloads(ring, a)
+        members = 0
+        # b from comm(a) and from the whole ring, so both answers occur
+        for b in rng.sample(comm_a, min(len(comm_a), 24)) + rng.sample(els, 24):
+            expected = _in_double_commutant_by_payloads(ring, b, comm_a)
+            assert in_double_commutant(b, a) == expected
+            members += expected
+        assert members > 0
+
+
+@pytest.mark.parametrize("ring", [zmod(12), M2Z2, matrix_ring(3, 2)])
+def test_commutant_from_masks_matches_enumeration_in_order(ring):
+    for x in ring.elements():
+        assert list(commutant(x)) == _commutant_by_payloads(ring, x)
+
+
+def test_double_commutant_keeps_the_budget_gate_after_masks_are_cached(monkeypatch):
+    a, b = M2Z2.elements()[6], M2Z2.elements()[9]
+    in_double_commutant(b, a)
+    assert M2Z2._masks[a.idx] is not None and M2Z2._masks[b.idx] is not None
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        in_double_commutant(b, a)
 
 
 # --- the engine rule -----------------------------------------------------------
