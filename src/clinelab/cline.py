@@ -9,7 +9,10 @@ Under it, Drazin / g-Drazin invertibility transfers between ac and ba with
 explicit formulas, nilpotency and quasinilpotency transfer, and 1 - ac is a
 unit exactly when 1 - ba is, again with an explicit inverse.  The formula
 functions refuse to run when the hypothesis fails (outside it they are
-simply false), and every produced inverse is re-certified from scratch.
+simply false), and every produced inverse is certified before it is
+returned: under elimination in full, and on an enumerated ring by
+equality with the unique inverse that the ring's exhaustive search found
+and whose certificate it verified in full.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .drazin import (
     GDRAZIN,
     DrazinCertificate,
     _build_certificate,
+    _dispatch,
     drazin_certificate,
     gdrazin_certificate,
     is_polynomial_in,
@@ -34,12 +38,10 @@ from .errors import (
 )
 from .rings import (
     RingElem,
-    in_double_commutant,
     is_quasinilpotent,
     is_unit,
     matrix_ring,
     nilpotency,
-    uses_elimination,
 )
 
 FORWARD = "forward"  # (ba) -> (ac)
@@ -95,6 +97,13 @@ def check_hypothesis(a: RingElem, b: RingElem, c: RingElem) -> HypothesisReport:
     last = _last_hypothesis
     if last is not None and last[0] is a and last[1] is b and last[2] is c:
         return last[3]
+    report = _evaluate_hypothesis(a, b, c)
+    _last_hypothesis = (a, b, c, report)
+    return report
+
+
+def _evaluate_hypothesis(a: RingElem, b: RingElem, c: RingElem) -> HypothesisReport:
+    """check_hypothesis without the memo: neither read nor replaced."""
     _require_common_context(a, b, c)
     ab = a * b
     ac = a * c
@@ -105,14 +114,12 @@ def check_hypothesis(a: RingElem, b: RingElem, c: RingElem) -> HypothesisReport:
     p3 = ac * aba
     p4 = ac * aca
     pairwise = (p1 == p2, p1 == p3, p1 == p4, p2 == p3, p2 == p4, p3 == p4)
-    report = HypothesisReport(
+    return HypothesisReport(
         products=(p1, p2, p3, p4),
         holds=all(pairwise),
         strong_holds=aba == aca,
         pairwise=pairwise,
     )
-    _last_hypothesis = (a, b, c, report)
-    return report
 
 
 def _require_hypothesis(a, b, c) -> HypothesisReport:
@@ -125,13 +132,23 @@ def _require_hypothesis(a, b, c) -> HypothesisReport:
 
 
 def _certify_inverse(x: RingElem, v: RingElem, mode: str) -> DrazinCertificate:
-    """Fully re-certify a claimed (g-)Drazin inverse v of x."""
-    if uses_elimination(x.ctx):
+    """Certify a claimed (g-)Drazin inverse v of x.
+
+    On an enumerated ring the memoized search has proved x's inverse unique,
+    checked its double-commutant membership and verified its certificate, so
+    v is accepted exactly when it is that inverse.  Under elimination v must
+    be a polynomial in x, and its certificate is built and verified in full.
+    """
+
+    def eliminate(x, mode):
         if not is_polynomial_in(v, x):
             raise CertificationError("transferred inverse is not a polynomial in its element")
-    elif not in_double_commutant(v, x):
-        raise CertificationError("transferred inverse left the double commutant")
-    return _build_certificate(x, v, mode)
+        return _build_certificate(x, v, mode)
+
+    cert = _dispatch(x, mode, eliminate)
+    if cert is None or cert.inverse != v:
+        raise CertificationError("transferred inverse is not the searched unique inverse")
+    return cert
 
 
 def _transfer(a, b, c, direction: str, mode: str) -> TransferResult:
@@ -230,8 +247,7 @@ def jacobson_inverse(a, b, c, s: RingElem) -> RingElem:
 
 def special_case_formula(a, b, c) -> bool:
     """Under the stronger aba = aca, verify (ba)^d c = b (ac)^d exactly."""
-    _require_common_context(a, b, c)
-    if a * b * a != a * c * a:
+    if not check_hypothesis(a, b, c).strong_holds:
         raise HypothesisViolation("special case needs aba = aca")
     cert_ba = gdrazin_certificate(b * a)
     cert_ac = gdrazin_certificate(a * c)
@@ -257,7 +273,8 @@ def power_transfer(a, b, c, k: int):
     if (cert_ac is None) != (cert_ba is None):
         raise CertificationError("power transfer existence equivalence failed")
     if k == 2:
-        if not check_hypothesis(a, b * a * b, c * a * c).holds:
+        # evaluated past the memo, which keeps (a, b, c) for the checks after
+        if not _evaluate_hypothesis(a, b * a * b, c * a * c).holds:
             raise CertificationError("substitution triple (a, bab, cac) lost the hypothesis")
     return cert_ac, cert_ba
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import CertificationError, ContextMismatch
+from .errors import BudgetExceeded, CertificationError, ContextMismatch
 from .rings import (
     NilpotencyWitness,
     RingElem,
@@ -253,12 +253,26 @@ def gdrazin_finite_ring(a: RingElem):
     return _finite_ring_search(a, GDRAZIN)
 
 
-def _dispatch(a: RingElem, mode: str):
-    if uses_elimination(a.ctx):
+def _dispatch(a: RingElem, mode: str, eliminate=None):
+    """The certificate of a from the engine uses_elimination picks.
+
+    A finite ring goes straight to its memoized search, whose budget check
+    is the only one a lookup makes.  Only when that check fails, and
+    uses_elimination agrees (M_m(Z/p) over the budget), does eliminate(a,
+    mode) answer instead, drazin_matrix by default; M_n(Q) always goes to
+    it.
+    """
+    if a.ctx.is_finite_ring:
+        try:
+            return drazin_finite_ring(a) if mode == DRAZIN else gdrazin_finite_ring(a)
+        except BudgetExceeded:
+            if not uses_elimination(a.ctx):
+                raise
+    # looked up per call, like the searches above: a default argument would
+    # bind the function once and miss a later rebinding of the module name
+    if eliminate is None:
         return drazin_matrix(a, mode)
-    if mode == DRAZIN:
-        return drazin_finite_ring(a)
-    return gdrazin_finite_ring(a)
+    return eliminate(a, mode)
 
 
 def drazin_certificate(a: RingElem):

@@ -98,7 +98,7 @@ def _check_c23(a, b, c) -> bool:
 
 
 def _check_c24(a, b, c) -> bool:
-    if a * b * a != a * c * a:
+    if not check_hypothesis(a, b, c).strong_holds:
         return False
     special_case_formula(a, b, c)
     return True

@@ -83,6 +83,8 @@ class RingElem:
         raise AttributeError("RingElem is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, RingElem):
             return NotImplemented
         return self.ctx is other.ctx and self.payload == other.payload

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinelab import (
+    BudgetExceeded,
+    CertificationError,
     ContextMismatch,
     HypothesisViolation,
     InputError,
@@ -25,10 +27,14 @@ from clinelab import (
     qnil_transfer,
     rationals_matrix,
     special_case_formula,
+    sweep,
     try_inverse,
     units_transfer,
     zmod,
 )
+from clinelab import drazin, rings
+from clinelab.cline import _certify_inverse
+from clinelab.serialize import certificate_to_json, dumps_canonical
 
 Z4 = zmod(4)
 Z8 = zmod(8)
@@ -238,6 +244,69 @@ def test_rational_separation_triple_transfers_through_elimination_engine():
 # --- nilpotency and quasinilpotency transfer ---------------------------------
 
 
+def test_certify_inverse_accepts_only_the_searched_inverse_on_m2z4():
+    ring = matrix_ring(4, 2)
+    for x in ring.elements()[::7]:
+        for mode, compute in (("drazin", drazin_certificate), ("gdrazin", gdrazin_certificate)):
+            searched = compute(x)
+            assert _certify_inverse(x, searched.inverse, mode) is searched
+            for wrong in (searched.inverse + ring.one(), x * x * searched.inverse):
+                if wrong != searched.inverse:
+                    with pytest.raises(CertificationError):
+                        _certify_inverse(x, wrong, mode)
+
+
+def test_certify_inverse_refuses_any_inverse_when_the_search_finds_none(monkeypatch):
+    # every element of a finite ring has a Drazin inverse, so a search that
+    # finds none is stood in for
+    monkeypatch.setattr(drazin, "drazin_finite_ring", lambda a: None)
+    monkeypatch.setattr(drazin, "gdrazin_finite_ring", lambda a: None)
+    ring = matrix_ring(4, 2)
+    x = ring.elem([[2, 1], [0, 2]])
+    for mode in ("drazin", "gdrazin"):
+        for v in (ring.zero(), ring.one(), x):
+            with pytest.raises(CertificationError):
+                _certify_inverse(x, v, mode)
+
+
+def test_transfers_under_a_lowered_budget(monkeypatch):
+    # M_2(Z/2) then certifies transferred inverses by elimination, with the
+    # searched JSON; M_2(Z/4) cannot be certified at all
+    m2z2 = _hypothesis_triples(matrix_ring(2, 2))[::97]
+    m2z4 = [(x, x, x) for x in matrix_ring(4, 2).elements()[::51]]
+
+    def transfers():
+        return [
+            dumps_canonical([certificate_to_json(r.source), certificate_to_json(r.target)])
+            for a, b, c in m2z2
+            for transfer in (cline_drazin, cline_gdrazin)
+            for r in (transfer(a, b, c, "forward"), transfer(a, b, c, "backward"))
+        ]
+
+    searched = transfers()
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    assert transfers() == searched
+    for a, b, c in m2z4:
+        with pytest.raises(BudgetExceeded):
+            cline_gdrazin(a, b, c)
+
+
+def test_all_checks_sweep_of_m2z2_reads_the_budget_once_per_lookup(monkeypatch):
+    # 69,547 reads before a lookup made one; a fresh context, so cached
+    # searches from other tests do not lower the count
+    reads = [0]
+    real = rings.enumeration_budget
+
+    def counting(*args):
+        reads[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rings, "enumeration_budget", counting)
+    report = sweep(rings.MatrixRingContext(2, 2))
+    assert report.triples_hypothesis == 1540
+    assert reads[0] <= 33_307
+
+
 def test_nilpotency_transfer_on_separation_triple():
     a, b, c = example_29_triple()
     w_ac, w_ba = nilpotency_transfer(a, b, c)
@@ -383,6 +452,16 @@ def test_power_transfer_k2_on_separation_triple():
     c1, c2 = power_transfer(a, b, c, 2)
     assert c1 is not None and c2 is not None
     assert check_hypothesis(a, b * a * b, c * a * c).holds
+
+
+def test_substitution_check_keeps_the_triples_report():
+    # the aba = aca guards that run after power_transfer read this report
+    a, b, c = example_29_triple()
+    report = check_hypothesis(a, b, c)
+    power_transfer(a, b, c, 2)
+    assert check_hypothesis(a, b, c) is report
+    with pytest.raises(HypothesisViolation):
+        special_case_formula(a, b, c)
 
 
 def test_power_transfer_k3_existence_agrees_on_m2z2_sample():

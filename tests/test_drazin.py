@@ -234,6 +234,29 @@ def test_certificate_json_is_the_same_from_both_engines(monkeypatch):
     assert len(searched) == 162
 
 
+def test_lowered_budget_gates_enumerated_lookups_and_eliminates_prime_rings(monkeypatch):
+    # under a budget of 10 neither ring may be searched: M_2(Z/4) has no
+    # elimination engine, M_2(Z/2) falls back to elimination over F_2
+    m2z4 = list(matrix_ring(4, 2).elements())
+    computes = (drazin_certificate, gdrazin_certificate)
+
+    def certificates():
+        return [
+            dumps_canonical(certificate_to_json(compute(x)))
+            for x in M2Z2.elements()
+            for compute in computes
+        ]
+
+    searched = certificates()
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    for x in m2z4:
+        for compute in computes:
+            with pytest.raises(BudgetExceeded):
+                compute(x)
+    assert certificates() == searched
+    assert len(searched) == 32
+
+
 # --- group inverse -----------------------------------------------------------
 
 
