@@ -10,9 +10,8 @@ explicit formulas, nilpotency and quasinilpotency transfer, and 1 - ac is a
 unit exactly when 1 - ba is, again with an explicit inverse.  The formula
 functions refuse to run when the hypothesis fails (outside it they are
 simply false), and every produced inverse is certified before it is
-returned: under elimination in full, and on an enumerated ring by
-equality with the unique inverse that the ring's exhaustive search found
-and whose certificate it verified in full.
+returned, by equality with the unique inverse whose certificate the
+ring's engine (elimination or exhaustive search) verified in full.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from .drazin import (
     DRAZIN,
     GDRAZIN,
     DrazinCertificate,
-    _build_certificate,
     _dispatch,
     drazin_certificate,
     gdrazin_certificate,
-    is_polynomial_in,
 )
 from .errors import (
     CertificationError,
@@ -134,20 +131,13 @@ def _require_hypothesis(a, b, c) -> HypothesisReport:
 def _certify_inverse(x: RingElem, v: RingElem, mode: str) -> DrazinCertificate:
     """Certify a claimed (g-)Drazin inverse v of x.
 
-    On an enumerated ring the memoized search has proved x's inverse unique,
-    checked its double-commutant membership and verified its certificate, so
-    v is accepted exactly when it is that inverse.  Under elimination v must
-    be a polynomial in x, and its certificate is built and verified in full.
+    The engine's certificate of x holds x's unique inverse, verified in
+    full, so v is accepted exactly when it is that inverse.  The rule is
+    the same on both engines.
     """
-
-    def eliminate(x, mode):
-        if not is_polynomial_in(v, x):
-            raise CertificationError("transferred inverse is not a polynomial in its element")
-        return _build_certificate(x, v, mode)
-
-    cert = _dispatch(x, mode, eliminate)
+    cert = _dispatch(x, mode)
     if cert is None or cert.inverse != v:
-        raise CertificationError("transferred inverse is not the searched unique inverse")
+        raise CertificationError("transferred inverse is not the engine's unique inverse")
     return cert
 
 

@@ -1,12 +1,13 @@
 """Drazin, group, and g-Drazin inverses with verified certificates.
 
 Two engines compute an inverse.  Elimination works on any square matrix
-over a field, M_n(Q) or M_m(Z/p) with p prime: the rank-stabilization index
-plus an inner inverse of a^(2k+1) from recorded row operations.  Exhaustive
-search works on any enumerable finite ring and doubles as an independent
-oracle where both apply.  rings.uses_elimination alone chooses the engine
-for a ring.  Every certificate is re-verified against the defining
-equations before it is returned; a verification failure raises
+over a field, M_n(Q) or M_m(Z/p) with p prime: one Krylov pass over the
+powers of a finds its minimal polynomial, whose lowest nonzero term gives
+the index and whose other terms give the inverse as a polynomial in a.
+Exhaustive search works on any enumerable finite ring and doubles as an
+independent oracle where both apply.  rings.uses_elimination alone chooses
+the engine for a ring.  Every certificate is re-verified against the
+defining equations before it is returned; a verification failure raises
 CertificationError because it can only mean a bug.
 """
 
@@ -70,74 +71,63 @@ def _field(a: RingElem, caller: str):
     return dom
 
 
-def _rank_profile(a: RingElem):
-    """Ranks of a^0, a^1, ... through first stabilization, and the powers
-    [a^0, a^1, ...] built to get them (each computed once)."""
+def _rank_profile(a: RingElem) -> list[int]:
+    """Ranks of a^0, a^1, ... through first stabilization."""
     dom = a.ctx.domain
-    powers = [a.ctx.one(), a]
     ranks = [len(a.payload)]
+    p = a
     while True:
-        if len(powers) == len(ranks):
-            powers.append(powers[-1] * a)
-        r = linalg.rank(dom, powers[len(ranks)].payload)
-        ranks.append(r)
-        if r == ranks[-2]:
-            return ranks, powers
+        ranks.append(linalg.rank(dom, p.payload))
+        if ranks[-1] == ranks[-2]:
+            return ranks
+        p = p * a
 
 
 def index_profile(a: RingElem) -> IndexProfile:
     _field(a, "index_profile")
-    ranks, _ = _rank_profile(a)
+    ranks = _rank_profile(a)
     return IndexProfile(tuple(ranks), len(ranks) - 2)
 
 
-def _reduce_against(dom, vec, basis):
-    v = list(vec)
-    for pivot, row in basis:
-        f = v[pivot]
-        if f != dom.zero:
-            v = [dom.canon(x - f * y) for x, y in zip(v, row)]
-    return v
+def _vector(m: RingElem, tail: list) -> list:
+    """vec(m) ++ tail as a row for linalg.extend_basis."""
+    v = linalg.mat_flatten(m.payload) + tuple(tail)
+    return linalg.int_vector(v) if m.ctx.domain is linalg.QQ else list(v)
 
 
-def _in_krylov_span_field(b: RingElem, a: RingElem) -> bool:
-    """is_polynomial_in on the domain's own entries (any field)."""
+def _krylov(a: RingElem):
+    """Echelon rows of vec(a^i) ++ e_i (e_i the unit vector of length n + 1)
+    for i = 0, 1, ..., d, where a^d is the first power whose vector part
+    reduces to zero.  That last row has its pivot in the tail and carries
+    the minimal polynomial: its tail is r with sum_j r_j a^j = 0.  Returns
+    (basis, [a^0, ..., a^d], r).
+    """
     dom = a.ctx.domain
+    n = len(a.payload)
     basis: list = []
-    p = a.ctx.one()
-    for _ in range(len(a.payload) + 1):
-        v = _reduce_against(dom, linalg.mat_flatten(p.payload), basis)
-        pivot = next((i for i, x in enumerate(v) if x != dom.zero), None)
-        if pivot is None:
-            break
-        inv = dom.inv(v[pivot])
-        basis.append((pivot, tuple(dom.canon(inv * x) for x in v)))
-        p = p * a
-    vb = _reduce_against(dom, linalg.mat_flatten(b.payload), basis)
-    return all(x == dom.zero for x in vb)
+    powers = [a.ctx.one()]
+    while True:
+        tail = [0] * (n + 1)
+        tail[len(powers) - 1] = 1
+        linalg.extend_basis(dom, basis, _vector(powers[-1], tail))
+        pivot, row = basis[-1]
+        if pivot >= n * n:
+            return basis, powers, row[n * n:]
+        powers.append(powers[-1] * a)
 
 
 def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
     """Whether b lies in the span of I, a, a^2, ... (matrices over a field).
 
     Membership implies b is in the double commutant of a, and needs no
-    enumeration of the ring.  The powers stop at the first one that adds
-    nothing to the span.  Over Q each matrix enters as a primitive integer
-    vector and is reduced fraction-free.
+    enumeration of the ring.  vec(b) ++ 0 is reduced against a's Krylov
+    rows; b is a member exactly when its vector part reduces to zero.
     """
-    if _field(a, "is_polynomial_in") is not linalg.QQ:
-        return _in_krylov_span_field(b, a)
-
-    def vector(m):
-        return linalg.int_vector(linalg.mat_flatten(m.payload))
-
-    basis: list = []
-    p = a.ctx.one()
-    for _ in range(len(a.payload) + 1):
-        if not linalg.extend_basis(basis, vector(p)):
-            break
-        p = p * a
-    return not linalg.extend_basis(basis, vector(b))
+    dom = _field(a, "is_polynomial_in")
+    n = len(a.payload)
+    basis, _, _ = _krylov(a)
+    independent = linalg.extend_basis(dom, basis, _vector(b, [0] * (n + 1)))
+    return not independent or basis[-1][0] >= n * n
 
 
 def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate:
@@ -185,25 +175,25 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
 def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     """Drazin inverse of a square matrix over a field (Q or Z/p).
 
-    With k the rank-stabilization index, any inner inverse G of a^(2k+1)
-    yields the Drazin inverse b = a^k G a^k.  The result is unique, so the
-    choice of G is safe; every witness is verified before returning.
+    Let sum_j r_j a^j = 0 be the minimal polynomial and k the lowest j with
+    r_j != 0; k is the index.  Then a^k = a^(k+1) s for the polynomial
+    s = -r_k^-1 sum_(j>k) r_j a^(j-k-1), and b = a^k s^(k+1) is the
+    Drazin inverse (Drazin, Amer. Math. Monthly 65, 1958), a polynomial in
+    a by construction.  Every defining equation is verified before
+    returning.
     """
     dom = _field(a, "drazin_matrix")
-    ranks, powers = _rank_profile(a)
-    k = len(ranks) - 2
-    while len(powers) <= 2 * k + 1:
-        powers.append(powers[-1] * a)
-    h = powers[2 * k + 1]
-    g = a.ctx._wrap(linalg.inner_inverse(dom, h.payload))
-    if h * g * h != h:
-        raise CertificationError("inner inverse construction failed")
-    b = powers[k] * g * powers[k]
-    if not is_polynomial_in(b, a):
-        raise CertificationError("Drazin inverse is not a polynomial in a")
-    cert = _build_certificate(a, b, mode)
+    _, powers, r = _krylov(a)
+    k = next(j for j, x in enumerate(r) if x)
+    inv = dom.inv(dom.canon(r[k]))
+    terms = [(-r[j] * inv, powers[j - k - 1].payload) for j in range(k + 1, len(powers))]
+    n = len(a.payload)
+    s = a.ctx.elem(
+        [[sum(c * p[i][j] for c, p in terms) for j in range(n)] for i in range(n)]
+    )
+    cert = _build_certificate(a, powers[k] * s ** (k + 1), mode)
     if cert.index != k:
-        raise CertificationError("certificate index disagrees with rank profile")
+        raise CertificationError("certificate index disagrees with the minimal polynomial")
     return cert
 
 
@@ -253,14 +243,13 @@ def gdrazin_finite_ring(a: RingElem):
     return _finite_ring_search(a, GDRAZIN)
 
 
-def _dispatch(a: RingElem, mode: str, eliminate=None):
+def _dispatch(a: RingElem, mode: str):
     """The certificate of a from the engine uses_elimination picks.
 
     A finite ring goes straight to its memoized search, whose budget check
     is the only one a lookup makes.  Only when that check fails, and
-    uses_elimination agrees (M_m(Z/p) over the budget), does eliminate(a,
-    mode) answer instead, drazin_matrix by default; M_n(Q) always goes to
-    it.
+    uses_elimination agrees (M_m(Z/p) over the budget), does drazin_matrix
+    answer instead; M_n(Q) always goes to it.
     """
     if a.ctx.is_finite_ring:
         try:
@@ -268,11 +257,7 @@ def _dispatch(a: RingElem, mode: str, eliminate=None):
         except BudgetExceeded:
             if not uses_elimination(a.ctx):
                 raise
-    # looked up per call, like the searches above: a default argument would
-    # bind the function once and miss a later rebinding of the module name
-    if eliminate is None:
-        return drazin_matrix(a, mode)
-    return eliminate(a, mode)
+    return drazin_matrix(a, mode)
 
 
 def drazin_certificate(a: RingElem):

@@ -2,18 +2,18 @@
 rationals (stdlib Fraction) and integers modulo n.
 
 Matrices are immutable tuples of row tuples.  Nothing in here ever touches
-floating point.  Division-based routines (rref, rank, inverse, inner_inverse)
+floating point.  Division-based routines (rref, rank, inverse, extend_basis)
 require the domain to be a field; purely multiplicative ones (mat_mul,
 det_int) work over any modulus.
 
-Over Q the kernels never do arithmetic on Fractions.  mat_mul scales each
-row of a and each column of b by the lcm of its denominators and takes
-integer dot products.  rank (through extend_basis, which drazin's Krylov
-test shares) and rref eliminate fraction-free on integer rows, as in
-Bareiss (Math. Comp. 22, 1968), but divide each new row by its content
-rather than by the previous pivot.  Fractions are built only for the
-result; rref's is exactly what the field-generic _rref_field, the routine
-Z/p uses, returns.
+rank and drazin's Krylov pass share one echelon kernel, extend_basis, on
+every field.  Over Q the kernels never do arithmetic on Fractions.  mat_mul
+scales each row of a and each column of b by the lcm of its denominators
+and takes integer dot products.  extend_basis and rref eliminate
+fraction-free on integer rows, as in Bareiss (Math. Comp. 22, 1968), but
+divide each new row by its content rather than by the previous pivot.
+Fractions are built only for the result; rref's is exactly what the
+field-generic _rref_field, the routine Z/p uses, returns.
 """
 
 from __future__ import annotations
@@ -281,26 +281,39 @@ def _rref_q(a: Matrix):
     return tuple(r), tuple(e), tuple(pivots)
 
 
-def extend_basis(basis: list, v: list) -> bool:
-    """Reduce the integer vector v, fraction-free, against basis (a list of
-    (pivot, row) pairs built by this function) and append what remains
-    when it is nonzero.  Returns whether v was independent of basis."""
-    for pivot, row in basis:
-        f = v[pivot]
-        if f:
-            v = primitive([row[pivot] * x - f * y for x, y in zip(v, row)])
+def extend_basis(dom, basis: list, v: list) -> bool:
+    """Reduce v against basis (a list of (pivot, row) pairs built by this
+    function) and append what remains when it is nonzero.  Returns whether
+    v was independent of basis.
+
+    Over Q, v is an integer vector (see int_vector) and is reduced
+    fraction-free, each step divided by its content.  Over Z/p, v holds
+    residues, and each new row is scaled to pivot 1.
+    """
+    if dom is QQ:
+        for pivot, row in basis:
+            f = v[pivot]
+            if f:
+                v = primitive([row[pivot] * x - f * y for x, y in zip(v, row)])
+    else:
+        for pivot, row in basis:
+            f = v[pivot]
+            if f:
+                v = [(x - f * y) % dom.n for x, y in zip(v, row)]
     pivot = next((i for i, x in enumerate(v) if x), None)
     if pivot is None:
         return False
+    if dom is not QQ:
+        inv = dom.inv(v[pivot])
+        v = [x * inv % dom.n for x in v]
     basis.append((pivot, v))
     return True
 
 
 def rank(dom, a: Matrix) -> int:
-    if dom is not QQ:
-        return len(rref(dom, a)[2])
     basis: list = []
-    return sum(extend_basis(basis, int_vector(row)) for row in a)
+    rows = map(int_vector, a) if dom is QQ else map(list, a)
+    return sum(extend_basis(dom, basis, row) for row in rows)
 
 
 def inverse(dom, a: Matrix) -> Matrix | None:
@@ -310,21 +323,6 @@ def inverse(dom, a: Matrix) -> Matrix | None:
     if len(pivots) != n:
         return None
     return e
-
-
-def inner_inverse(dom, a: Matrix) -> Matrix:
-    """Some G with a*G*a = a, for square a over a field.
-
-    Built from the recorded row operations: with E*a = R (RREF, pivot
-    columns j_0 < j_1 < ...), placing row i of E into row j_i of an
-    otherwise-zero matrix gives an inner inverse.
-    """
-    n = len(a)
-    _, e, pivots = rref(dom, a)
-    g = [[dom.zero] * n for _ in range(n)]
-    for i, j in enumerate(pivots):
-        g[j] = list(e[i])
-    return tuple(tuple(row) for row in g)
 
 
 def det_int(a) -> int:

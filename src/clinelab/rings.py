@@ -613,9 +613,13 @@ def try_inverse(x: RingElem) -> RingElem | None:
     if isinstance(ctx, MatrixRingContext):
         if not is_unit(x):
             return None
-        if ctx.domain.is_field:
-            return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
-        return ctx._wrap(_adjugate_inverse(x.payload, ctx.n))
+
+        def compute():
+            if ctx.domain.is_field:
+                return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
+            return ctx._wrap(_adjugate_inverse(x.payload, ctx.n))
+
+        return ctx.cached(("inverse", x.payload), compute)
     if isinstance(ctx, ZModContext):
         try:
             return ctx._wrap(pow(x.payload, -1, ctx.n))

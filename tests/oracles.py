@@ -1,8 +1,9 @@
 """Independent references that the tests compare clinelab against.
 
 The library decides double-commutant membership over Q by a polynomial
-witness and numbers finite-ring elements through their index; these
-helpers recompute both from the definitions.
+witness, reads the Drazin inverse off the minimal polynomial, and numbers
+finite-ring elements through their index; these helpers recompute each by
+another route.
 """
 
 from clinelab import linalg
@@ -69,3 +70,55 @@ def index_by_digits(ring, e: RingElem) -> int:
     for v in entries:
         i = i * ring.n + v
     return i
+
+
+def inner_inverse(dom, a):
+    """Some G with a*G*a = a, for square a over a field.
+
+    Built from the recorded row operations: with E*a = R (RREF, pivot
+    columns j_0 < j_1 < ...), placing row i of E into row j_i of an
+    otherwise-zero matrix gives an inner inverse.
+    """
+    n = len(a)
+    _, e, pivots = linalg.rref(dom, a)
+    g = [[dom.zero] * n for _ in range(n)]
+    for i, j in enumerate(pivots):
+        g[j] = list(e[i])
+    return tuple(tuple(row) for row in g)
+
+
+def drazin_by_inner_inverse(a: RingElem) -> RingElem:
+    """The Drazin inverse a^k G a^k, with k the rank-stabilization index of
+    a and G any inner inverse of a^(2k+1) (the result is unique)."""
+    dom = a.ctx.domain
+    k = 0
+    while linalg.rank(dom, (a**k).payload) != linalg.rank(dom, (a ** (k + 1)).payload):
+        k += 1
+    g = a.ctx.elem(inner_inverse(dom, (a ** (2 * k + 1)).payload))
+    return a**k * g * a**k
+
+
+def in_krylov_span(b: RingElem, a: RingElem) -> bool:
+    """Whether b is a linear combination of I, a, a^2, ..., by Gaussian
+    elimination on the domain's own entries (Fractions over Q)."""
+    dom = a.ctx.domain
+    basis = []
+    p = a.ctx.one()
+
+    def reduce(m):
+        v = list(linalg.mat_flatten(m.payload))
+        for pivot, row in basis:
+            f = v[pivot]
+            if f != dom.zero:
+                v = [dom.canon(x - f * y) for x, y in zip(v, row)]
+        return v
+
+    for _ in range(len(a.payload) + 1):
+        v = reduce(p)
+        pivot = next((i for i, x in enumerate(v) if x != dom.zero), None)
+        if pivot is None:
+            break
+        inv = dom.inv(v[pivot])
+        basis.append((pivot, [dom.canon(inv * x) for x in v]))
+        p = p * a
+    return all(x == dom.zero for x in reduce(b))

@@ -269,6 +269,32 @@ def test_certify_inverse_refuses_any_inverse_when_the_search_finds_none(monkeypa
                 _certify_inverse(x, v, mode)
 
 
+def test_certify_inverse_accepts_only_the_eliminated_inverse(monkeypatch):
+    # elimination certifies by the same rule: M_3(Q), and M_2(Z/3) under a
+    # budget below its 81 elements
+    m3q = rationals_matrix(3)
+    xs = [
+        m3q.elem(rows)
+        for rows in (
+            [[2, 1, 0], [0, 3, 0], [1, 0, -1]],
+            [[1, 1, 1], [-1, -1, 1], [0, 0, 2]],
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[1, 2, 3], [2, 4, 6], [-1, -2, -3]],
+        )
+    ]
+    xs += matrix_ring(3, 2).elements()[::4]
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
+    for x in xs:
+        for mode in ("drazin", "gdrazin"):
+            inverse = drazin.drazin_matrix(x, mode).inverse
+            cert = _certify_inverse(x, inverse, mode)
+            assert cert.element == x and cert.inverse == inverse and cert.mode == mode
+            for wrong in (inverse + x.ctx.one(), x * x * inverse):
+                if wrong != inverse:
+                    with pytest.raises(CertificationError):
+                        _certify_inverse(x, wrong, mode)
+
+
 def test_transfers_under_a_lowered_budget(monkeypatch):
     # M_2(Z/2) then certifies transferred inverses by elimination, with the
     # searched JSON; M_2(Z/4) cannot be certified at all

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import in_double_commutant_by_basis
+from oracles import drazin_by_inner_inverse, in_double_commutant_by_basis
 
 from clinelab import (
     BudgetExceeded,
@@ -104,12 +104,35 @@ def test_rank_profile_builds_each_power_once():
     a = rationals_matrix(4).elem(
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
     )
-    ranks, powers = _rank_profile(a)
+    ranks = _rank_profile(a)
     assert ranks == [4, 3, 2, 1, 1]
-    assert len(powers) == len(ranks)
-    assert all(p == a**i for i, p in enumerate(powers))
     assert index_profile(a).ranks == tuple(ranks)
     assert drazin_matrix(a).index == index_profile(a).index == 3
+
+
+# name -> (index, rows): a unit, zero, nilpotent blocks of size 2 and 3,
+# and nilpotent blocks beside invertible ones
+_Q_INDEX_CASES = {
+    "unit": (0, [[2, 1, 0], [0, 3, 0], [1, 0, -1]]),
+    "zero": (1, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    "idempotent": (1, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    "rank1": (1, [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]),
+    "nilpotent-index2": (2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    "nilpotent-index3": (3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    "index2-beside-unit": (2, [[0, 1, 0], [0, 0, 0], [0, 0, 7]]),
+    "index3-beside-unit": (3, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, -5]]),
+    "index2-dense": (2, [[1, 1, 1], [-1, -1, 1], [0, 0, 2]]),
+}
+
+
+@pytest.mark.parametrize("index,rows", list(_Q_INDEX_CASES.values()), ids=list(_Q_INDEX_CASES))
+def test_matrix_inverse_equals_the_inner_inverse_oracle(index, rows):
+    a = rationals_matrix(len(rows)).elem(rows)
+    for mode in ("drazin", "gdrazin"):
+        cert = drazin_matrix(a, mode)
+        assert cert.inverse == drazin_by_inner_inverse(a)
+        assert cert.index == index_profile(a).index == index
+        _check_defining_equations(cert)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,6 +207,15 @@ def test_matrix_oracle_agreement_on_small_f2_rings(size):
         assert field_cert.index == ring_cert.index
 
 
+def test_polynomial_witness_is_the_double_commutant_over_f3():
+    # over a field the double commutant of a matrix is exactly the
+    # polynomials in it, so the Krylov test must agree with the bitsets
+    ring = matrix_ring(3, 2)
+    for a in ring.elements():
+        for b in ring.elements():
+            assert is_polynomial_in(b, a) == in_double_commutant(b, a)
+
+
 def test_matrix_oracle_agreement_on_m2f3_both_modes():
     ring = matrix_ring(3, 2)
     assert ring.element_count == 81
@@ -215,23 +247,26 @@ def test_memoized_searches_keep_the_budget_gate(monkeypatch):
 
 
 def test_certificate_json_is_the_same_from_both_engines(monkeypatch):
-    # M_2(Z/3) has 81 elements: the default budget searches it exhaustively,
-    # a budget of 80 sends it to elimination over F_3 (uses_elimination)
-    ring = matrix_ring(3, 2)
+    # M_2(Z/3) has 81 elements and M_2(Z/5) 625: the default budget searches
+    # each exhaustively, a budget one below sends it to elimination over F_p
+    # (uses_elimination)
+    for p, count in ((3, 81), (5, 625)):
+        ring = matrix_ring(p, 2)
 
-    def certificates():
-        return [
-            dumps_canonical(certificate_to_json(compute(e)))
-            for e in ring.elements()
-            for compute in (drazin_certificate, gdrazin_certificate)
-        ]
+        def certificates():
+            return [
+                dumps_canonical(certificate_to_json(compute(e)))
+                for e in ring.elements()
+                for compute in (drazin_certificate, gdrazin_certificate)
+            ]
 
-    searched = certificates()
-    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
-    with pytest.raises(BudgetExceeded):
-        drazin_finite_ring(ring.one())
-    assert certificates() == searched
-    assert len(searched) == 162
+        searched = certificates()
+        monkeypatch.setenv("CLINE_LAB_BUDGET", str(count - 1))
+        with pytest.raises(BudgetExceeded):
+            drazin_finite_ring(ring.one())
+        assert certificates() == searched
+        assert len(searched) == 2 * count
+        monkeypatch.delenv("CLINE_LAB_BUDGET")
 
 
 def test_lowered_budget_gates_enumerated_lookups_and_eliminates_prime_rings(monkeypatch):
