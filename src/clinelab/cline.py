@@ -146,25 +146,18 @@ def _transfer(a, b, c, direction: str, mode: str) -> TransferResult:
     if direction not in (FORWARD, BACKWARD):
         raise InputError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
     compute = drazin_certificate if mode == DRAZIN else gdrazin_certificate
-    one = a.ctx.one()
+    # the target is left * right, and its inverse left * d^2 * right
     if direction == BACKWARD:
-        source_elem = a * c
-        source = compute(source_elem)
-        if source is None:
-            raise MissingInverse("ac has no inverse of the requested kind")
-        d = source.inverse
-        target_elem = b * a
-        target_inv = b * d * d * a
-        expected_core = b * (one - source_elem * d) * a
+        name, source_elem, left, right = "ac", a * c, b, a
     else:
-        source_elem = b * a
-        source = compute(source_elem)
-        if source is None:
-            raise MissingInverse("ba has no inverse of the requested kind")
-        d = source.inverse
-        target_elem = a * c
-        target_inv = a * d * d * c
-        expected_core = a * (one - source_elem * d) * c
+        name, source_elem, left, right = "ba", b * a, a, c
+    source = compute(source_elem)
+    if source is None:
+        raise MissingInverse(f"{name} has no inverse of the requested kind")
+    d = source.inverse
+    target_elem = left * right
+    target_inv = left * d * d * right
+    expected_core = left * (a.ctx.one() - source_elem * d) * right
     target = _certify_inverse(target_elem, target_inv, mode)
     if target.core != expected_core:
         raise CertificationError("core decomposition identity failed")

@@ -91,8 +91,7 @@ def index_profile(a: RingElem) -> IndexProfile:
 
 def _vector(m: RingElem, tail: list) -> list:
     """vec(m) ++ tail as a row for linalg.extend_basis."""
-    v = linalg.mat_flatten(m.payload) + tuple(tail)
-    return linalg.int_vector(v) if m.ctx.domain is linalg.QQ else list(v)
+    return linalg.as_row(m.ctx.domain, linalg.mat_flatten(m.payload) + tuple(tail))
 
 
 def _krylov(a: RingElem):

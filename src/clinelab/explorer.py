@@ -14,7 +14,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cline import (
     check_hypothesis,
@@ -392,17 +392,7 @@ class Example29Report:
     ba_inverse: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "hypothesis_holds": self.hypothesis_holds,
-            "strong_holds": self.strong_holds,
-            "x_nilpotency_index": self.x_nilpotency_index,
-            "ac_drazin_index": self.ac_drazin_index,
-            "ba_drazin_index": self.ba_drazin_index,
-            "transfer_certified": self.transfer_certified,
-            "one_minus_ac_unit": self.one_minus_ac_unit,
-            "ba_inverse": self.ba_inverse,
-        }
+        return asdict(self)
 
 
 def verify_example_29() -> Example29Report:

@@ -6,14 +6,16 @@ floating point.  Division-based routines (rref, rank, inverse, extend_basis)
 require the domain to be a field; purely multiplicative ones (mat_mul,
 det_int) work over any modulus.
 
-rank and drazin's Krylov pass share one echelon kernel, extend_basis, on
-every field.  Over Q the kernels never do arithmetic on Fractions.  mat_mul
-scales each row of a and each column of b by the lcm of its denominators
-and takes integer dot products.  extend_basis and rref eliminate
-fraction-free on integer rows, as in Bareiss (Math. Comp. 22, 1968), but
-divide each new row by its content rather than by the previous pivot.
-Fractions are built only for the result; rref's is exactly what the
-field-generic _rref_field, the routine Z/p uses, returns.
+All exact elimination runs on one row step, _eliminate, which clears an
+entry of v with pivot row p as p[col]*v - v[col]*p and never divides:
+over Q it then divides by the content of the integer row, as in Bareiss
+(Math. Comp. 22, 1968) but by the content rather than the previous pivot;
+over Z/p it reduces modulo the prime.  rref (and with it inverse) and extend_basis
+(and with it rank and drazin's Krylov pass) are its only callers, so each
+field's row arithmetic is written once.  Over Q the kernels never do
+arithmetic on Fractions: mat_mul scales each row of a and each column of b
+by the lcm of its denominators and takes integer dot products, and rref
+builds Fractions only for its result.
 """
 
 from __future__ import annotations
@@ -156,11 +158,6 @@ def primitive(v: list) -> list:
     return v if g < 2 else [x // g for x in v]
 
 
-def int_vector(v) -> list:
-    """The primitive integer vector spanning the same line as rational v."""
-    return primitive(_scaled((v,))[0][0])
-
-
 def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     if isinstance(dom, ModularDomain):
@@ -178,81 +175,42 @@ def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def as_row(dom, v) -> list:
+    """v as an elimination row: over Q the primitive integer vector on the
+    same line, over Z/p the list of its residues."""
+    return primitive(_scaled((v,))[0][0]) if dom is QQ else list(v)
+
+
+def _eliminate(dom, v, p, col):
+    """Row v with its col entry cleared by pivot row p: p[col]*v - v[col]*p,
+    divided by its content over Q and reduced modulo the prime over Z/p.
+    The result is a nonzero multiple of v - (v[col]/p[col])*p."""
+    pc, f = p[col], v[col]
+    w = [pc * x - f * y for x, y in zip(v, p)]
+    return primitive(w) if dom is QQ else [x % dom.n for x in w]
+
+
 def rref(dom, a: Matrix):
     """Gauss-Jordan over a field.
 
     Returns (R, E, pivots) with E*a = R, R in reduced row echelon form,
     E invertible, and pivots the tuple of pivot column indices in
     increasing order (pivot row choice: topmost nonzero candidate).
+
+    The rows of [a | I] are eliminated with _eliminate, which never
+    divides.  Pivot choices depend only on which entries are zero, and
+    every row stays a nonzero multiple of the textbook routine's row (the
+    one that scales each pivot row to pivot 1), so dividing back at the end
+    gives its (R, E, pivots) exactly.  A pivot row is divided by its pivot.
+    The textbook routine never scales a non-pivot row, nor subtracts it
+    from another, so its E entry at its original row's position stays 1;
+    such a row is divided by that entry.
     """
-    if dom is QQ:
-        return _rref_q(a)
-    return _rref_field(dom, a)
-
-
-def _rref_field(dom, a: Matrix):
-    """rref over any field, on the domain's own entries."""
     if not dom.is_field:
         raise ValueError("rref requires a field domain")
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    r = [list(row) for row in a]
-    e = [list(row) for row in identity(dom, nrows)]
-    zero = dom.zero
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        if prow == nrows:
-            break
-        sel = None
-        for i in range(prow, nrows):
-            if r[i][col] != zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != prow:
-            r[prow], r[sel] = r[sel], r[prow]
-            e[prow], e[sel] = e[sel], e[prow]
-        inv_p = dom.inv(r[prow][col])
-        if inv_p != dom.one:
-            r[prow] = [dom.canon(inv_p * x) for x in r[prow]]
-            e[prow] = [dom.canon(inv_p * x) for x in e[prow]]
-        for i in range(nrows):
-            if i == prow:
-                continue
-            f = r[i][col]
-            if f != zero:
-                r[i] = [dom.canon(x - f * y) for x, y in zip(r[i], r[prow])]
-                e[i] = [dom.canon(x - f * y) for x, y in zip(e[i], e[prow])]
-        pivots.append(col)
-        prow += 1
-    return (
-        tuple(tuple(row) for row in r),
-        tuple(tuple(row) for row in e),
-        tuple(pivots),
-    )
-
-
-def _rref_q(a: Matrix):
-    """rref over Q by the same Gauss-Jordan steps on integer rows of [a | I].
-
-    Row i starts as d_i * [a_i | e_i] (d_i its denominator lcm).  Pivot
-    choices depend only on which entries are zero, and eliminating with
-    pc * r - f * p in place of r - (f / pc) * p keeps every row a nonzero
-    multiple of the Fraction routine's row, so dividing back at the end
-    gives its (R, E, pivots) exactly.  A pivot row is divided by its pivot.
-    The Fraction routine never scales a non-pivot row, nor subtracts it from
-    another, so its E entry at its original row's position stays 1; such a
-    row is divided by that entry.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rows = []
-    for i, (ints, d) in enumerate(_scaled(a)):
-        unit = [0] * nrows
-        unit[i] = d
-        rows.append(primitive(ints + unit))
+    rows = [as_row(dom, (*ai, *ei)) for ai, ei in zip(a, identity(dom, nrows))]
     origin = list(range(nrows))
     pivots = []
     prow = 0
@@ -266,18 +224,21 @@ def _rref_q(a: Matrix):
             rows[prow], rows[sel] = rows[sel], rows[prow]
             origin[prow], origin[sel] = origin[sel], origin[prow]
         p = rows[prow]
-        pc = p[col]
         for i in range(nrows):
-            f = rows[i][col]
-            if f and i != prow:
-                rows[i] = primitive([pc * x - f * y for x, y in zip(rows[i], p)])
+            if i != prow and rows[i][col]:
+                rows[i] = _eliminate(dom, rows[i], p, col)
         pivots.append(col)
         prow += 1
     r, e = [], []
-    for i, row in enumerate(rows):
-        s = row[pivots[i]] if i < prow else row[ncols + origin[i]]
-        r.append(tuple(Fraction(x, s) for x in row[:ncols]))
-        e.append(tuple(Fraction(x, s) for x in row[ncols:]))
+    for i, v in enumerate(rows):
+        s = v[pivots[i]] if i < prow else v[ncols + origin[i]]
+        if dom is QQ:
+            v = [Fraction(x, s) for x in v]
+        else:
+            s = dom.inv(s)
+            v = [x * s % dom.n for x in v]
+        r.append(tuple(v[:ncols]))
+        e.append(tuple(v[ncols:]))
     return tuple(r), tuple(e), tuple(pivots)
 
 
@@ -286,34 +247,23 @@ def extend_basis(dom, basis: list, v: list) -> bool:
     function) and append what remains when it is nonzero.  Returns whether
     v was independent of basis.
 
-    Over Q, v is an integer vector (see int_vector) and is reduced
-    fraction-free, each step divided by its content.  Over Z/p, v holds
-    residues, and each new row is scaled to pivot 1.
+    v is a row made by as_row, and each step is _eliminate, so a row is
+    known only up to a nonzero scalar: integers with content 1 over Q,
+    residues with an arbitrary nonzero pivot over Z/p.
     """
-    if dom is QQ:
-        for pivot, row in basis:
-            f = v[pivot]
-            if f:
-                v = primitive([row[pivot] * x - f * y for x, y in zip(v, row)])
-    else:
-        for pivot, row in basis:
-            f = v[pivot]
-            if f:
-                v = [(x - f * y) % dom.n for x, y in zip(v, row)]
+    for pivot, p in basis:
+        if v[pivot]:
+            v = _eliminate(dom, v, p, pivot)
     pivot = next((i for i, x in enumerate(v) if x), None)
     if pivot is None:
         return False
-    if dom is not QQ:
-        inv = dom.inv(v[pivot])
-        v = [x * inv % dom.n for x in v]
     basis.append((pivot, v))
     return True
 
 
 def rank(dom, a: Matrix) -> int:
     basis: list = []
-    rows = map(int_vector, a) if dom is QQ else map(list, a)
-    return sum(extend_basis(dom, basis, row) for row in rows)
+    return sum(extend_basis(dom, basis, as_row(dom, v)) for v in a)
 
 
 def inverse(dom, a: Matrix) -> Matrix | None:

@@ -617,7 +617,14 @@ def try_inverse(x: RingElem) -> RingElem | None:
         def compute():
             if ctx.domain.is_field:
                 return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
-            return ctx._wrap(_adjugate_inverse(x.payload, ctx.n))
+            # adj(x) = det(x) * x^-1 over Q is an integer matrix, so
+            # x^-1 = adj(x) * (det mod n)^-1 mod n
+            det = linalg.det_int(x.payload)
+            scale = pow(det, -1, ctx.n)
+            inv = linalg.inverse(linalg.QQ, x.payload)
+            return ctx._wrap(
+                tuple(tuple((v * det).numerator * scale % ctx.n for v in row) for row in inv)
+            )
 
         return ctx.cached(("inverse", x.payload), compute)
     if isinstance(ctx, ZModContext):
@@ -626,28 +633,6 @@ def try_inverse(x: RingElem) -> RingElem | None:
         except ValueError:
             return None
     raise ContextMismatch(f"unsupported context {ctx.label}")
-
-
-def _adjugate_inverse(rows, n: int):
-    """Inverse of an integer matrix mod n via adjugate / determinant."""
-    m = len(rows)
-    det = linalg.det_int(rows) % n
-    det_inv = pow(det, -1, n)
-    if m == 1:
-        return ((det_inv % n,),)
-    adj = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [rows[r][c] for c in range(m) if c != j]
-                for r in range(m)
-                if r != i
-            ]
-            cof = linalg.det_int(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = (cof * det_inv) % n
-    return tuple(tuple(r) for r in adj)
 
 
 def nilpotency(x: RingElem) -> NilpotencyWitness:

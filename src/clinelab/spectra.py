@@ -38,17 +38,6 @@ def _poly_norm(coeffs):
     return tuple(Fraction(v) for v in c)
 
 
-def _poly_mul(f, g):
-    if not f or not g:
-        return ()
-    out = [_F0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-    return _poly_norm(out)
-
-
 def _poly_divmod(f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")

@@ -1,13 +1,60 @@
 """Independent references that the tests compare clinelab against.
 
-The library decides double-commutant membership over Q by a polynomial
-witness, reads the Drazin inverse off the minimal polynomial, and numbers
-finite-ring elements through their index; these helpers recompute each by
-another route.
+The library row-reduces by a fraction-free row step, decides
+double-commutant membership over Q by a polynomial witness, reads the
+Drazin inverse off the minimal polynomial, and numbers finite-ring
+elements through their index; these helpers recompute each by another
+route.
 """
 
 from clinelab import linalg
 from clinelab.rings import RingElem
+
+
+def rref_field(dom, a):
+    """Textbook Gauss-Jordan over any field, on the domain's own entries:
+    each pivot row is scaled to pivot 1 and subtracted from the others.
+    linalg.rref must return exactly what this returns."""
+    if not dom.is_field:
+        raise ValueError("rref requires a field domain")
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = [list(row) for row in a]
+    e = [list(row) for row in linalg.identity(dom, nrows)]
+    zero = dom.zero
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        if prow == nrows:
+            break
+        sel = None
+        for i in range(prow, nrows):
+            if r[i][col] != zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != prow:
+            r[prow], r[sel] = r[sel], r[prow]
+            e[prow], e[sel] = e[sel], e[prow]
+        inv_p = dom.inv(r[prow][col])
+        if inv_p != dom.one:
+            r[prow] = [dom.canon(inv_p * x) for x in r[prow]]
+            e[prow] = [dom.canon(inv_p * x) for x in e[prow]]
+        for i in range(nrows):
+            if i == prow:
+                continue
+            f = r[i][col]
+            if f != zero:
+                r[i] = [dom.canon(x - f * y) for x, y in zip(r[i], r[prow])]
+                e[i] = [dom.canon(x - f * y) for x, y in zip(e[i], e[prow])]
+        pivots.append(col)
+        prow += 1
+    return (
+        tuple(tuple(row) for row in r),
+        tuple(tuple(row) for row in e),
+        tuple(pivots),
+    )
 
 
 def nullspace_basis(dom, a):

@@ -1,19 +1,20 @@
-"""The integer kernels over Q against the field-generic routines.
+"""The exact kernels against the textbook routines on the domain's entries.
 
-Over Q, mat_mul, rank, rref and the Krylov span test work on integer
-vectors and build Fractions only for the result; char_poly runs its
-recurrence on d*M.  Each is checked here against a routine that does the
-same job on Fractions: the field-generic rref (the one Z/p uses), the span
-test of tests/oracles.py, a plain triple-loop product and a Fraction
-Faddeev-LeVerrier.  sympy, when installed, is an independent oracle for
-rank, inverse and char_poly.
+rref and rank run on one fraction-free row step over Q and Z/p; over Q,
+mat_mul and the Krylov span test also work on integer vectors and build
+Fractions only for the result, and char_poly runs its recurrence on d*M.
+Each is checked here against a routine that does the same job on the
+domain's own entries: the textbook Gauss-Jordan of tests/oracles.py (over
+Q and over F_2, F_3, F_5 and F_101), the span test there, a plain
+triple-loop product and a Fraction Faddeev-LeVerrier.  sympy, when
+installed, is an independent oracle for rank, inverse and char_poly.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import in_krylov_span, inner_inverse
+from oracles import in_krylov_span, inner_inverse, rref_field
 
 from clinelab import InputError, drazin_matrix, rationals_matrix
 from clinelab.drazin import is_polynomial_in
@@ -21,7 +22,6 @@ from clinelab.linalg import (
     MILLER_RABIN_BOUND,
     QQ,
     ModularDomain,
-    _rref_field,
     inverse,
     is_prime,
     mat_mul,
@@ -103,21 +103,52 @@ RECT = {
 ALL = {**SQUARE, **RECT}
 
 
+def _prime_field_cases():
+    rng = random.Random(20261018)
+    cases = {}
+    for p in (2, 3, 5, 101):
+        f = ModularDomain(p)
+
+        def rand(n, m):
+            return tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(n))
+
+        fixed = {
+            "zero3": [[0] * 3] * 3,
+            "one-by-one": [[p - 1]],
+            "integer-singular4": [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, -1, 2], [1, 3, 2, 6]],
+            "zero-pivot-first": [[0, 1, 2], [1, 0, 1], [1, 1, 4]],
+            "zero-column-first": [[0, 1, 1], [0, 0, 1], [0, 1, 0]],
+        }
+        for name, rows in fixed.items():
+            cases[f"F{p}-{name}"] = (f, tuple(tuple(v % p for v in row) for row in rows))
+        cases[f"F{p}-random5"] = (f, rand(5, 5))
+        cases[f"F{p}-singular6-rank2"] = (f, mat_mul(f, rand(6, 2), rand(2, 6)))
+        cases[f"F{p}-wide3x5"] = (f, rand(3, 5))
+        cases[f"F{p}-tall5x3"] = (f, rand(5, 3))
+        cases[f"F{p}-wide-rank1"] = (f, mat_mul(f, rand(3, 1), rand(1, 5)))
+    return cases
+
+
+FIELDS = {**{name: (QQ, a) for name, a in ALL.items()}, **_prime_field_cases()}
+_on_every_field = pytest.mark.parametrize("dom, a", list(FIELDS.values()), ids=list(FIELDS))
+
+
 def _params(cases):
     return pytest.mark.parametrize("a", list(cases.values()), ids=list(cases))
 
 
-@_params(ALL)
-def test_rref_matches_the_field_routine_exactly(a):
-    r, e, pivots = rref(QQ, a)
-    assert (r, e, pivots) == _rref_field(QQ, a)
-    assert all(type(v) is Fraction for m in (r, e) for row in m for v in row)
-    assert _ref_mul(e, a) == r
+@_on_every_field
+def test_rref_matches_the_field_routine_exactly(dom, a):
+    r, e, pivots = rref(dom, a)
+    assert (r, e, pivots) == rref_field(dom, a)
+    entry = Fraction if dom is QQ else int
+    assert all(type(v) is entry for m in (r, e) for row in m for v in row)
+    assert (_ref_mul(e, a) if dom is QQ else mat_mul(dom, e, a)) == r
 
 
-@_params(ALL)
-def test_rank_matches_the_field_routine(a):
-    assert rank(QQ, a) == len(_rref_field(QQ, a)[2])
+@_on_every_field
+def test_rank_matches_the_field_routine(dom, a):
+    assert rank(dom, a) == len(rref_field(dom, a)[2])
 
 
 @_params(ALL)
@@ -137,7 +168,7 @@ def test_mat_mul_matches_the_fraction_product(a):
 
 @_params(SQUARE)
 def test_inverse_and_inner_inverse_match_the_field_routine(a):
-    _, e, pivots = _rref_field(QQ, a)
+    _, e, pivots = rref_field(QQ, a)
     n = len(a)
     inv = inverse(QQ, a)
     if len(pivots) == n:
@@ -203,8 +234,8 @@ def test_char_poly_matches_the_fraction_recurrence(a):
 def test_prime_field_kernels_keep_the_field_routine():
     f5 = ModularDomain(5)
     a = ((1, 2, 3), (2, 4, 1), (3, 1, 4))
-    assert rref(f5, a) == _rref_field(f5, a)
-    assert rank(f5, a) == len(_rref_field(f5, a)[2])
+    assert rref(f5, a) == rref_field(f5, a)
+    assert rank(f5, a) == len(rref_field(f5, a)[2])
     assert is_prime(5) and is_prime(2) and not is_prime(1) and not is_prime(91)
 
 

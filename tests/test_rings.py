@@ -24,6 +24,7 @@ from clinelab import (
     uses_elimination,
     zmod,
 )
+from clinelab.linalg import ModularDomain, is_prime, rank
 
 Z4 = zmod(4)
 Z8 = zmod(8)
@@ -149,10 +150,42 @@ def test_try_inverse_round_trips():
             assert e * inv == M2Z2.one() and inv * e == M2Z2.one()
         else:
             assert inv is None
-    # composite modulus goes through the adjugate route
+    # a composite modulus lifts the inverse from Q and scales it by det
     m = matrix_ring(4, 2).elem([[1, 2], [0, 3]])
     inv = try_inverse(m)
     assert inv is not None and m * inv == matrix_ring(4, 2).one()
+
+
+@pytest.mark.parametrize("n, size, samples", [(4, 2, None), (6, 3, 300), (8, 2, 200)])
+def test_try_inverse_mod_composite_n(n, size, samples):
+    """x in M_m(Z/n) is a unit exactly when its reduction mod each prime
+    p | n has full rank over F_p; a unit must get a two-sided inverse and
+    anything else None.  M_2(Z/4) is run in full, the others on a seeded
+    sample."""
+    ring = matrix_ring(n, size)
+    if samples is None:
+        elems = list(ring.elements())
+    else:
+        rng = random.Random(n * 10 + size)
+        elems = [
+            ring.elem([[rng.randrange(n) for _ in range(size)] for _ in range(size)])
+            for _ in range(samples)
+        ]
+    primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    units = 0
+    for e in elems:
+        unit = all(
+            rank(ModularDomain(p), [[v % p for v in row] for row in e.payload]) == size
+            for p in primes
+        )
+        inv = try_inverse(e)
+        if unit:
+            units += 1
+            assert inv is not None
+            assert e * inv == ring.one() and inv * e == ring.one()
+        else:
+            assert inv is None
+    assert 0 < units < len(elems)
 
 
 # --- nilpotency -------------------------------------------------------------
