@@ -30,6 +30,7 @@ from .cline import (
 )
 from .drazin import drazin_certificate, gdrazin_certificate, group_inverse
 from .errors import (
+    BudgetExceeded,
     CertificationError,
     ContextMismatch,
     InputError,
@@ -40,6 +41,7 @@ from .errors import (
 from .rings import (
     DEFAULT_TRIPLE_BUDGET,
     RingContext,
+    _power_at_most,
     is_unit,
     matrix_ring,
     nilpotency,
@@ -50,6 +52,7 @@ from .rings import (
 from .serialize import element_to_json, triple_to_json
 
 ALL_CHECKS = ("t22", "t27", "l21", "l26", "l31", "c23", "c24", "c28")
+SAMPLE_SPACE_CAP = 2**2**16  # sampled sweeps draw from at most this many triples
 
 
 # --- per-triple checks; each returns True when it did substantive work ----
@@ -201,6 +204,19 @@ def _triple_space(ctx: RingContext) -> int:
     return ctx.element_count**3
 
 
+def _sample_space(ctx: RingContext) -> int:
+    """|R|^3 for a sampled sweep, refused over SAMPLE_SPACE_CAP before it is
+    built: drawing an index and reading its triple take time quadratic in
+    its digit count."""
+    n, exp = ctx.n, 3 * ctx.digits
+    if not _power_at_most(n, exp, SAMPLE_SPACE_CAP):
+        raise BudgetExceeded(
+            f"{ctx.label}^3 has {n}^{exp} triples, over the sample bound "
+            f"2^{SAMPLE_SPACE_CAP.bit_length() - 1}"
+        )
+    return ctx.element_count**3
+
+
 def _triple_by_index(ctx: RingContext, idx: int):
     count = ctx.element_count
     ci = idx % count
@@ -295,7 +311,7 @@ def sweep(
         if seed is None or count is None:
             raise InputError("sample mode needs both seed and count")
         rng = random.Random(seed)
-        total_space = ctx.element_count**3
+        total_space = _sample_space(ctx)
         indices = sorted({rng.randrange(total_space) for _ in range(count)})
         seed_out, requested = seed, count
     else:

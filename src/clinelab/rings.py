@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add, eq, mul
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
@@ -34,6 +35,7 @@ from .linalg import ModularDomain, QQ
 DEFAULT_ENUMERATION_BUDGET = 2**20
 DEFAULT_TRIPLE_BUDGET = 2**24
 INDEX_CAP = 2**10  # finite rings with at most this many elements are indexed
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
@@ -315,10 +317,10 @@ class FiniteRingContext(RingContext):
     A ring of at most INDEX_CAP elements is indexed.  On first use it builds
     every element once, in enumeration order, and from then on hands out
     only those objects, each carrying its index: products, sums and
-    negations are found by index (_product, _sum, _negation), and each
-    element's commuting mask, the bitset of the indices of the elements
-    that commute with it, is built on first use and kept.  Larger rings
-    compute every result on payloads.
+    negations are found by index (_product, _sum, _negation), and so is
+    each element's commuting mask, the bitset of the indices of the
+    elements that commute with it (_commuting_mask; each family builds it
+    its own way).  Larger rings compute every result on payloads.
     """
 
     is_finite_ring = True
@@ -331,7 +333,6 @@ class FiniteRingContext(RingContext):
         self._count: int | None = None
         self._elems: tuple | None = None
         self._pos: dict | None = None
-        self._masks: list | None = None
 
     @property
     def element_count(self) -> int:
@@ -366,18 +367,7 @@ class FiniteRingContext(RingContext):
 
     def _commuting_mask(self, i: int) -> int:
         """Bit j is set when the elements with indices i and j commute."""
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = [None] * len(self._elems)
-        mask = masks[i]
-        if mask is None:
-            product = self._product
-            mask = 0
-            for j in range(len(masks)):
-                if product(i, j) is product(j, i):
-                    mask |= 1 << j
-            masks[i] = mask
-        return mask
+        raise NotImplementedError
 
     def _index(self) -> tuple:
         if self._elems is None:
@@ -448,6 +438,9 @@ class ZModContext(FiniteRingContext):
     def _negation(self, i):
         return self._elems[-i % self.n]
 
+    def _commuting_mask(self, i):
+        return (1 << self.n) - 1  # Z/n is commutative
+
     def _zero_payload(self):
         return 0
 
@@ -468,6 +461,15 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     ring of N elements keeps its products and sums in N-by-N tables of
     indices and its negations in a table of N; each starts at -1 and fills
     in as results are first asked for.
+
+    Commuting masks are built a whole line of products at a time, and kept.
+    Column c of x*y is x times column c of y and fills only the digits
+    (r, c), so index(x*y) = sum over c of T_x[col_c(y)] * n^(m-1-c), where
+    T_x maps each of the n^m column vectors v to sum over r of
+    ((x*v)_r mod n) * n^(m(m-1-r)).  The other order comes from the same
+    line through the transposition permutation tr: index(y*x) =
+    tr[index(x^T * y^T)].  The column codes of every element and tr are
+    built with the first mask.
     """
 
     def __init__(self, n: int, size: int):
@@ -482,6 +484,8 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         self._products: array | None = None
         self._sums: array | None = None
         self._negations: array | None = None
+        self._columns: tuple | None = None
+        self._masks: list | None = None
 
     def _fill(self, name: str, cell: int, op, *indices) -> int:
         """Store in cell of the table `name` the index of op applied to the
@@ -519,6 +523,47 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         if k < 0:
             k = self._fill("_negations", i, self._neg, i)
         return self._elems[k]
+
+    def _lines(self, i: int) -> tuple:
+        """(index(x*y), index(y*x)) for every y in index order, as two
+        lists, x the element with index i."""
+        n, m, elems = self.n, self.size, self._elems
+        # the weight of digit k of a column code, and of column k of an index
+        weights = [n ** (m - 1 - k) for k in range(m)]
+        if self._columns is None:
+            codes = tuple(
+                [sum(row[c] * w for row, w in zip(e.payload, weights)) for e in elems]
+                for c in range(m)
+            )
+            tr = [self._pos[tuple(zip(*e.payload))] for e in elems]
+            self._columns = (tuple(product(range(n), repeat=m)), codes, tr)
+        vectors, codes, tr = self._columns
+        row_weights = [w**m for w in weights]
+
+        def line(x) -> list:
+            table = [
+                sum(sum(map(mul, row, v)) % n * w for row, w in zip(x, row_weights))
+                for v in vectors
+            ]
+            out = None
+            for column_codes, w in zip(codes, weights):
+                part = map([t * w for t in table].__getitem__, column_codes)
+                out = part if out is None else map(add, out, part)
+            return list(out)
+
+        transposed = line(elems[tr[i]].payload)
+        return line(elems[i].payload), [tr[k] for k in map(transposed.__getitem__, tr)]
+
+    def _commuting_mask(self, i):
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = [None] * len(self._elems)
+        mask = masks[i]
+        if mask is None:
+            left, right = self._lines(i)
+            # bytes of 0/1 per index, highest index first, read as binary
+            mask = masks[i] = int(bytes(map(eq, left, right))[::-1].translate(_BITS), 2)
+        return mask
 
     def _from_digits(self, digits):
         return linalg.mat_unflatten(digits, self.size, self.size)
@@ -580,6 +625,12 @@ def uses_elimination(ctx: RingContext) -> bool:
     return False
 
 
+def _det(x: RingElem) -> int:
+    """The integer determinant of x's entries, kept per payload (M_m(Z/n)):
+    is_unit and try_inverse both read it."""
+    return x.ctx.cached(("det", x.payload), lambda: linalg.det_int(x.payload))
+
+
 def is_unit(x: RingElem) -> bool:
     """Whether x has a two-sided multiplicative inverse.
 
@@ -594,11 +645,7 @@ def is_unit(x: RingElem) -> bool:
             lambda: linalg.rank(ctx.domain, x.payload) == ctx.n,
         )
     if isinstance(ctx, MatrixRingContext):
-        def compute():
-            d = linalg.det_int(x.payload) % ctx.n
-            return math.gcd(d, ctx.n) == 1
-
-        return ctx.cached(("unit", x.payload), compute)
+        return math.gcd(_det(x), ctx.n) == 1
     if isinstance(ctx, ZModContext):
         return math.gcd(x.payload, ctx.n) == 1
     raise ContextMismatch(f"unsupported context {ctx.label}")
@@ -619,7 +666,7 @@ def try_inverse(x: RingElem) -> RingElem | None:
                 return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
             # adj(x) = det(x) * x^-1 over Q is an integer matrix, so
             # x^-1 = adj(x) * (det mod n)^-1 mod n
-            det = linalg.det_int(x.payload)
+            det = _det(x)
             scale = pow(det, -1, ctx.n)
             inv = linalg.inverse(linalg.QQ, x.payload)
             return ctx._wrap(

@@ -369,6 +369,16 @@ def test_huge_matrix_ring_searches_exit_2_without_building_the_count(capsys, com
     assert "triples, over the budget" in err
 
 
+@pytest.mark.parametrize("ring", ["mat2000z3", "mat2000z7"])
+def test_huge_matrix_ring_samples_exit_2_without_building_the_count(capsys, ring):
+    # drawing from |M_2000(Z/3)|^3 = 3^12000000 triples would take minutes
+    argv = ["explore", "sweep", "--ring", ring, "--mode", "sample"]
+    err = _assert_quick_input_error(
+        capsys, argv + ["--seed", "1", "--count", "1", "--theorems", "l26"]
+    )
+    assert "triples, over the sample bound 2^65536" in err
+
+
 def test_matzmod_literal_of_huge_size_exits_2_quickly(tmp_path, capsys):
     path = _write(
         tmp_path,

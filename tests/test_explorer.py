@@ -90,6 +90,16 @@ def test_sample_mode_requires_seed_and_count():
         sweep(zmod(4), "all", "sample")
 
 
+def test_sample_space_is_bounded_before_it_is_built():
+    from clinelab.explorer import _sample_space
+
+    # 3 * 147^2 = 64827: M_147(Z/2) is the largest M_m(Z/2) a sample draws from
+    assert _sample_space(matrix_ring(2, 147)) == 2**64827
+    with pytest.raises(BudgetExceeded, match=r"M148\(Z/2\)\^3 has 2\^65712 triples"):
+        _sample_space(matrix_ring(2, 148))
+    assert matrix_ring(2, 148)._count is None
+
+
 def test_parallel_sweep_matches_sequential():
     seq = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=1)
     par = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=2)

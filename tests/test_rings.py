@@ -454,10 +454,57 @@ def test_double_commutant_mask_test_matches_enumeration_on_m2z4_sample():
         assert members > 0
 
 
-@pytest.mark.parametrize("ring", [zmod(12), M2Z2, matrix_ring(3, 2)])
+@pytest.mark.parametrize("ring", [zmod(12), M2Z2, matrix_ring(3, 2), matrix_ring(4, 2)])
 def test_commutant_from_masks_matches_enumeration_in_order(ring):
     for x in ring.elements():
         assert list(commutant(x)) == _commutant_by_payloads(ring, x)
+
+
+@pytest.mark.parametrize("n, size", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_product_lines_match_payload_products(n, size):
+    # both lines of the kernel, index(x*y) and index(y*x) for every y
+    ring = matrix_ring(n, size)
+    els, pos, mul = ring.elements(), ring._pos, ring._mul
+    table = [[pos[mul(x.payload, y.payload)] for y in els] for x in els]
+    for x in els:
+        left, right = ring._lines(x.idx)
+        assert left == table[x.idx]
+        assert right == [row[x.idx] for row in table]
+
+
+def test_product_lines_match_payload_products_on_m2z5_sample():
+    ring = matrix_ring(5, 2)
+    els, pos, mul = ring.elements(), ring._pos, ring._mul
+    for x in random.Random(5).sample(els, 40):
+        left, right = ring._lines(x.idx)
+        assert left == [pos[mul(x.payload, y.payload)] for y in els]
+        assert right == [pos[mul(y.payload, x.payload)] for y in els]
+
+
+def test_zmod_commuting_masks_are_full():
+    ring = zmod(12)
+    for x in ring.elements():
+        assert ring._commuting_mask(x.idx) == 2**12 - 1
+        assert commutant(x) == ring.elements()
+
+
+def test_unit_test_and_inverse_share_one_determinant(monkeypatch):
+    from clinelab import linalg
+    from clinelab.rings import MatrixRingContext
+
+    ring = MatrixRingContext(4, 2)  # a fresh context: nothing is cached yet
+    calls = []
+    det_int = linalg.det_int
+    monkeypatch.setattr(linalg, "det_int", lambda a: calls.append(a) or det_int(a))
+    units = 0
+    for x in ring.elements():
+        inv = try_inverse(x)
+        assert (inv is not None) == is_unit(x)
+        if inv is not None:
+            assert x * inv is ring.one() and inv * x is ring.one()
+            units += 1
+    assert units == 96  # |GL_2(Z/4)|
+    assert sorted(calls) == sorted(x.payload for x in ring.elements())
 
 
 def test_double_commutant_keeps_the_budget_gate_after_masks_are_cached(monkeypatch):
