@@ -91,7 +91,9 @@ def index_profile(a: RingElem) -> IndexProfile:
 
 def _vector(m: RingElem, tail: list) -> list:
     """vec(m) ++ tail as a row for linalg.extend_basis."""
-    return linalg.as_row(m.ctx.domain, linalg.mat_flatten(m.payload) + tuple(tail))
+    dom = m.ctx.domain
+    rows, den = linalg.int_rows(dom, m.payload)
+    return linalg.as_row(dom, linalg.mat_flatten(rows), den, tail)
 
 
 def _krylov(a: RingElem):
@@ -184,12 +186,15 @@ def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     dom = _field(a, "drazin_matrix")
     _, powers, r = _krylov(a)
     k = next(j for j, x in enumerate(r) if x)
-    inv = dom.inv(dom.canon(r[k]))
-    terms = [(-r[j] * inv, powers[j - k - 1].payload) for j in range(k + 1, len(powers))]
-    n = len(a.payload)
-    s = a.ctx.elem(
-        [[sum(c * p[i][j] for c, p in terms) for j in range(n)] for i in range(n)]
-    )
+    terms = range(k + 1, len(powers))
+    if terms:
+        s = a.ctx._wrap(
+            linalg.mat_combination(
+                dom, [-r[j] for j in terms], [powers[j - k - 1].payload for j in terms], r[k]
+            )
+        )
+    else:  # the minimal polynomial is x^k: a is nilpotent
+        s = a.ctx.zero()
     cert = _build_certificate(a, powers[k] * s ** (k + 1), mode)
     if cert.index != k:
         raise CertificationError("certificate index disagrees with the minimal polynomial")

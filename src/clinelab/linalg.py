@@ -1,10 +1,12 @@
 """Exact dense matrix routines over the two entry domains the package uses:
-rationals (stdlib Fraction) and integers modulo n.
+rationals and integers modulo n.
 
-Matrices are immutable tuples of row tuples.  Nothing in here ever touches
-floating point.  Division-based routines (rref, rank, inverse, extend_basis)
-require the domain to be a field; purely multiplicative ones (mat_mul,
-det_int) work over any modulus.
+A matrix over Z/n is a tuple of row tuples of residues.  A matrix over Q is
+a QMatrix: integer rows over one positive common denominator, in lowest
+terms, so equal matrices have equal payloads and the kernels work on ints
+alone.  Nothing in here ever touches floating point.  Division-based
+routines (rref, rank, inverse, extend_basis) require the domain to be a
+field; purely multiplicative ones (mat_mul, det_int) work over any modulus.
 
 All exact elimination runs on one row step, _eliminate, which clears an
 entry of v with pivot row p as p[col]*v - v[col]*p and never divides:
@@ -12,10 +14,9 @@ over Q it then divides by the content of the integer row, as in Bareiss
 (Math. Comp. 22, 1968) but by the content rather than the previous pivot;
 over Z/p it reduces modulo the prime.  rref (and with it inverse) and extend_basis
 (and with it rank and drazin's Krylov pass) are its only callers, so each
-field's row arithmetic is written once.  Over Q the kernels never do
-arithmetic on Fractions: mat_mul scales each row of a and each column of b
-by the lcm of its denominators and takes integer dot products, and rref
-builds Fractions only for its result.
+field's row arithmetic is written once.  Over Q no kernel does arithmetic on
+Fractions: a product is the integer dot products of the numerators over the
+product of the denominators, reduced by one content gcd.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from math import gcd, lcm
 from operator import mul as _mul
 
 from .errors import InputError
-
-Matrix = tuple  # tuple[tuple[entry, ...], ...]
-
 
 # The first 13 primes.  No composite below MILLER_RABIN_BOUND is a strong
 # pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017);
@@ -68,7 +66,8 @@ def is_prime(n: int) -> bool:
 
 
 class RationalDomain:
-    """Field of rationals; entries are Fractions in lowest terms."""
+    """Field of rationals.  Matrices over it are QMatrix payloads; an entry,
+    as their rows give it, is a Fraction in lowest terms."""
 
     is_field = True
     zero = Fraction(0)
@@ -110,46 +109,111 @@ class ModularDomain:
 QQ = RationalDomain()
 
 
+class QMatrix:
+    """A matrix over Q: the integer rows num over the common denominator den.
+
+    den > 0 and gcd(den, every entry of num) = 1, so a rational matrix has
+    exactly one QMatrix, and == and hash read only ints.  len, indexing and
+    iteration give the rows as tuples of Fractions, built on demand: output
+    and reference code read entries that way, the kernels read num and den.
+    The constructor does not reduce; a result that may not be in lowest
+    terms goes through _lowest.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: int = 1):
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, i: int) -> tuple:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.num)))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+Matrix = tuple | QMatrix  # over Z/n a tuple of row tuples of residues
+
+
+def _lowest(num: tuple, den: int) -> QMatrix:
+    """num / den as a QMatrix, for integer rows num and a nonzero den."""
+    if den < 0:
+        num, den = tuple(tuple(-x for x in row) for row in num), -den
+    g = den
+    for row in num:
+        g = gcd(g, *row)
+        if g == 1:
+            return QMatrix(num, den)
+    return QMatrix(tuple(tuple(x // g for x in row) for row in num), den // g)
+
+
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of v in lowest terms; a Fraction is built
+    only for an entry that is not exactly an int or a Fraction."""
+    t = type(v)
+    if t is int:
+        return v, 1
+    if t is not Fraction:
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
 def mat_canon(dom, rows) -> Matrix:
-    return tuple(tuple(dom.canon(v) for v in row) for row in rows)
+    if dom is not QQ:
+        return tuple(tuple(dom.canon(v) for v in row) for row in rows)
+    parts = [[_ratio(v) for v in row] for row in rows]
+    # with den the lcm of lowest-terms denominators, no prime divides den
+    # and every numerator, so the result is already in lowest terms
+    den = lcm(*[q for row in parts for _, q in row])
+    return QMatrix(tuple(tuple(p * (den // q) for p, q in row) for row in parts), den)
 
 
 def identity(dom, n: int) -> Matrix:
-    one, zero = dom.one, dom.zero
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return QMatrix(rows) if dom is QQ else rows
 
 
 def zeros(dom, n: int, m: int | None = None) -> Matrix:
-    zero = dom.zero
     m = n if m is None else m
-    return tuple((zero,) * m for _ in range(n))
+    rows = tuple((0,) * m for _ in range(n))
+    return QMatrix(rows) if dom is QQ else rows
 
 
 def mat_add(dom, a: Matrix, b: Matrix) -> Matrix:
     if isinstance(dom, ModularDomain):
         n = dom.n
         return tuple(tuple((x + y) % n for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return _lowest(
+        tuple(
+            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a.num, b.num)
+        ),
+        den,
+    )
 
 
 def mat_neg(dom, a: Matrix) -> Matrix:
     if isinstance(dom, ModularDomain):
         n = dom.n
         return tuple(tuple((-x) % n for x in row) for row in a)
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def _scaled(vectors):
-    """Each rational vector as (ints, d): d the lcm of its denominators and
-    ints the integer vector d * v."""
-    out = []
-    for v in vectors:
-        d = lcm(*[x.denominator for x in v])
-        if d == 1:
-            out.append(([x.numerator for x in v], 1))
-        else:
-            out.append(([x.numerator * (d // x.denominator) for x in v], d))
-    return out
+    return QMatrix(tuple(tuple(-x for x in row) for row in a.num), a.den)
 
 
 def primitive(v: list) -> list:
@@ -159,26 +223,55 @@ def primitive(v: list) -> list:
 
 
 def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
     if isinstance(dom, ModularDomain):
         n = dom.n
+        cols = tuple(zip(*b))
         return tuple(
             tuple(sum(map(_mul, row, col)) % n for col in cols) for row in a
         )
-    cols_i = _scaled(cols)
-    return tuple(
-        tuple(
-            Fraction(sum(map(_mul, row, col)), d_row * d_col)
-            for col, d_col in cols_i
-        )
-        for row, d_row in _scaled(a)
+    cols = tuple(zip(*b.num))
+    return _lowest(
+        tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in a.num),
+        a.den * b.den,
     )
 
 
-def as_row(dom, v) -> list:
-    """v as an elimination row: over Q the primitive integer vector on the
-    same line, over Z/p the list of its residues."""
-    return primitive(_scaled((v,))[0][0]) if dom is QQ else list(v)
+def _combine(coeffs: list, mats: list) -> tuple:
+    """sum_i coeffs[i] * mats[i] for integer coefficients and matrices of
+    integer rows, all of one shape."""
+    return tuple(
+        tuple(sum(map(_mul, coeffs, entries)) for entries in zip(*rows))
+        for rows in zip(*mats)
+    )
+
+
+def mat_combination(dom, coeffs: list, mats: list, d: int) -> Matrix:
+    """(sum_i coeffs[i] * mats[i]) / d, for a nonempty list of matrices of
+    one shape, integer coefficients and an integer d that is a unit of the
+    domain.  Over Q the numerators are combined once, each coefficient
+    scaled to the lcm of the denominators."""
+    if isinstance(dom, ModularDomain):
+        n = dom.n
+        inv = dom.inv(d % n)
+        return tuple(tuple(x * inv % n for x in row) for row in _combine(coeffs, mats))
+    den = lcm(*[m.den for m in mats])
+    coeffs = [c * (den // m.den) for c, m in zip(coeffs, mats)]
+    return _lowest(_combine(coeffs, [m.num for m in mats]), d * den)
+
+
+def int_rows(dom, a: Matrix) -> tuple:
+    """(rows, den) with a = rows / den and rows of ints: (num, den) of a
+    QMatrix over Q, (a, 1) over Z/n."""
+    return (a.num, a.den) if dom is QQ else (a, 1)
+
+
+def as_row(dom, ints, den: int = 1, tail=()) -> list:
+    """The vector ints/den ++ tail as an elimination row: over Q the
+    primitive integer vector ints ++ den*tail on its line, over Z/p the
+    residues ints ++ tail."""
+    if dom is QQ:
+        return primitive([*ints, *(den * t for t in tail)])
+    return [*ints, *tail]
 
 
 def _eliminate(dom, v, p, col):
@@ -208,9 +301,12 @@ def rref(dom, a: Matrix):
     """
     if not dom.is_field:
         raise ValueError("rref requires a field domain")
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rows = [as_row(dom, (*ai, *ei)) for ai, ei in zip(a, identity(dom, nrows))]
+    num, den = int_rows(dom, a)
+    nrows = len(num)
+    ncols = len(num[0]) if nrows else 0
+    rows = [
+        as_row(dom, ai, den, [int(i == j) for j in range(nrows)]) for i, ai in enumerate(num)
+    ]
     origin = list(range(nrows))
     pivots = []
     prow = 0
@@ -229,17 +325,27 @@ def rref(dom, a: Matrix):
                 rows[i] = _eliminate(dom, rows[i], p, col)
         pivots.append(col)
         prow += 1
-    r, e = [], []
+    r, e, scales = [], [], []
     for i, v in enumerate(rows):
         s = v[pivots[i]] if i < prow else v[ncols + origin[i]]
-        if dom is QQ:
-            v = [Fraction(x, s) for x in v]
-        else:
+        if dom is not QQ:
             s = dom.inv(s)
             v = [x * s % dom.n for x in v]
         r.append(tuple(v[:ncols]))
         e.append(tuple(v[ncols:]))
+        scales.append(s)
+    if dom is QQ:
+        return _divided(r, scales), _divided(e, scales), tuple(pivots)
     return tuple(r), tuple(e), tuple(pivots)
+
+
+def _divided(rows: list, scales: list) -> QMatrix:
+    """The rational matrix whose row i is rows[i] / scales[i], for integer
+    rows and nonzero integer scales."""
+    den = lcm(*scales)
+    return _lowest(
+        tuple(tuple(x * (den // s) for x in row) for row, s in zip(rows, scales)), den
+    )
 
 
 def extend_basis(dom, basis: list, v: list) -> bool:
@@ -263,7 +369,7 @@ def extend_basis(dom, basis: list, v: list) -> bool:
 
 def rank(dom, a: Matrix) -> int:
     basis: list = []
-    return sum(extend_basis(dom, basis, as_row(dom, v)) for v in a)
+    return sum(extend_basis(dom, basis, as_row(dom, v)) for v in int_rows(dom, a)[0])
 
 
 def inverse(dom, a: Matrix) -> Matrix | None:

@@ -668,9 +668,11 @@ def try_inverse(x: RingElem) -> RingElem | None:
             # x^-1 = adj(x) * (det mod n)^-1 mod n
             det = _det(x)
             scale = pow(det, -1, ctx.n)
-            inv = linalg.inverse(linalg.QQ, x.payload)
+            inv = linalg.inverse(linalg.QQ, linalg.QMatrix(x.payload))
             return ctx._wrap(
-                tuple(tuple((v * det).numerator * scale % ctx.n for v in row) for row in inv)
+                tuple(
+                    tuple(v * det // inv.den * scale % ctx.n for v in row) for row in inv.num
+                )
             )
 
         return ctx.cached(("inverse", x.payload), compute)

@@ -142,15 +142,13 @@ def _faddeev_leverrier_int(rows):
 def char_poly(m) -> SpectrumDescriptor:
     """Characteristic polynomial det(lambda I - M) via Faddeev-LeVerrier.
 
-    The recurrence runs on plain ints, on d*M with d the lcm of M's
-    denominators; the coefficient of lambda^(n-k) is then divided by d^k.
+    The recurrence runs on plain ints, on the numerator d*M of M's payload
+    (d its common denominator); the coefficient of lambda^(n-k) is then
+    divided by d^k.
     """
     elem = _as_rational_matrix(m)
-    rows = elem.payload
-    d = math.lcm(*[v.denominator for row in rows for v in row])
-    desc = _faddeev_leverrier_int(
-        [[v.numerator * (d // v.denominator) for v in row] for row in rows]
-    )
+    rows, d = elem.payload.num, elem.payload.den
+    desc = _faddeev_leverrier_int(rows)
     n = len(rows)
     ascending = _poly_norm(Fraction(desc[n - j], d ** (n - j)) for j in range(n + 1))
     if len(ascending) != n + 1:
@@ -272,14 +270,8 @@ def drazin_spectrum_matrix(m) -> DrazinSpectrumReport:
     certs = []
     for lam in sorted(shifts):
         shifted = ctx.elem(
-            [
-                [
-                    (lam if i == j else 0) - elem.payload[i][j]
-                    for j in range(ctx.n)
-                ]
-                for i in range(ctx.n)
-            ]
-        )
+            [[lam if i == j else 0 for j in range(ctx.n)] for i in range(ctx.n)]
+        ) - elem
         certs.append((lam, drazin_matrix(shifted)))
     return DrazinSpectrumReport(
         spectrum=frozenset(), descriptor=desc, shift_certificates=tuple(certs)

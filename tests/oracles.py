@@ -100,7 +100,7 @@ def commutant_basis(x: RingElem):
                     col.append(dom.canon(v))
             cols.append(col)
     system = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
-    basis = nullspace_basis(dom, system)
+    basis = nullspace_basis(dom, linalg.mat_canon(dom, system))
     return tuple(ctx.elem(linalg.mat_unflatten(v, n, n)) for v in basis)
 
 

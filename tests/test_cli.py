@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON formats, exit codes, determinism."""
 
 import json
+import signal
 import time
 
 import pytest
@@ -352,8 +353,18 @@ def test_bad_ring_name(capsys):
 
 
 def _assert_quick_input_error(capsys, argv):
+    def too_slow(signum, frame):
+        pytest.fail(f"{argv[:3]} still running after 3 s")
+
+    # the alarm stops a command that never returns; the 2 s bound is below
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(3)
     started = time.perf_counter()
-    code, out, err = _run(capsys, argv)
+    try:
+        code, out, err = _run(capsys, argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - started < 2
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")

@@ -1,19 +1,24 @@
 """The exact kernels against the textbook routines on the domain's entries.
 
-rref and rank run on one fraction-free row step over Q and Z/p; over Q,
-mat_mul and the Krylov span test also work on integer vectors and build
-Fractions only for the result, and char_poly runs its recurrence on d*M.
-Each is checked here against a routine that does the same job on the
-domain's own entries: the textbook Gauss-Jordan of tests/oracles.py (over
-Q and over F_2, F_3, F_5 and F_101), the span test there, a plain
-triple-loop product and a Fraction Faddeev-LeVerrier.  sympy, when
-installed, is an independent oracle for rank, inverse and char_poly.
+rref and rank run on one fraction-free row step over Q and Z/p; over Q a
+matrix is integer rows over one denominator (linalg.QMatrix), so mat_mul,
+the Krylov span test and char_poly's recurrence work on ints alone.  Inputs
+go in through mat_canon and results are compared as the rows of Fractions
+the payload gives.  Each is checked here against a routine that does the
+same job on the domain's own entries: the textbook Gauss-Jordan of
+tests/oracles.py (over Q and over F_2, F_3, F_5 and F_101), the span test
+there, a plain triple-loop product and a Fraction Faddeev-LeVerrier.
+sympy, when installed, is an independent oracle for rank, inverse and
+char_poly.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import in_krylov_span, inner_inverse, rref_field
 
 from clinelab import InputError, drazin_matrix, rationals_matrix
@@ -24,10 +29,15 @@ from clinelab.linalg import (
     ModularDomain,
     inverse,
     is_prime,
+    mat_add,
+    mat_canon,
+    mat_combination,
     mat_mul,
+    mat_neg,
     rank,
     rref,
 )
+from clinelab.serialize import element_from_json
 from clinelab.spectra import char_poly
 
 BIG = 10**12
@@ -59,7 +69,7 @@ def _nilpotent_conjugate(rng, n, k):
     Jordan block: index k, so the Drazin inverse is a genuine polynomial."""
     while True:
         p = _dense(rng, n, n)
-        p_inv = inverse(QQ, p)
+        p_inv = inverse(QQ, mat_canon(QQ, p))
         if p_inv is not None:
             break
     d = [[Fraction(0)] * n for _ in range(n)]
@@ -72,6 +82,11 @@ def _nilpotent_conjugate(rng, n, k):
 
 def _q(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def _rows(m):
+    """A matrix payload as the tuple of its rows."""
+    return tuple(map(tuple, m))
 
 
 def _square_cases():
@@ -139,16 +154,16 @@ def _params(cases):
 
 @_on_every_field
 def test_rref_matches_the_field_routine_exactly(dom, a):
-    r, e, pivots = rref(dom, a)
-    assert (r, e, pivots) == rref_field(dom, a)
+    r, e, pivots = rref(dom, mat_canon(dom, a))
+    assert (_rows(r), _rows(e), pivots) == rref_field(dom, a)
     entry = Fraction if dom is QQ else int
     assert all(type(v) is entry for m in (r, e) for row in m for v in row)
-    assert (_ref_mul(e, a) if dom is QQ else mat_mul(dom, e, a)) == r
+    assert (_ref_mul(e, a) if dom is QQ else mat_mul(dom, e, a)) == _rows(r)
 
 
 @_on_every_field
 def test_rank_matches_the_field_routine(dom, a):
-    assert rank(dom, a) == len(rref_field(dom, a)[2])
+    assert rank(dom, mat_canon(dom, a)) == len(rref_field(dom, a)[2])
 
 
 @_params(ALL)
@@ -161,8 +176,8 @@ def test_mat_mul_matches_the_fraction_product(a):
         _q([[0] * 3] * len(a[0])),
     ]
     for b in cases:
-        got = mat_mul(QQ, a, b)
-        assert got == _ref_mul(a, b)
+        got = mat_mul(QQ, mat_canon(QQ, a), mat_canon(QQ, b))
+        assert _rows(got) == _ref_mul(a, b)
         assert all(type(v) is Fraction for row in got for v in row)
 
 
@@ -170,13 +185,13 @@ def test_mat_mul_matches_the_fraction_product(a):
 def test_inverse_and_inner_inverse_match_the_field_routine(a):
     _, e, pivots = rref_field(QQ, a)
     n = len(a)
-    inv = inverse(QQ, a)
+    inv = inverse(QQ, mat_canon(QQ, a))
     if len(pivots) == n:
-        assert inv == e
+        assert _rows(inv) == e
         assert _ref_mul(a, inv) == _q([[int(i == j) for j in range(n)] for i in range(n)])
     else:
         assert inv is None
-    g = inner_inverse(QQ, a)
+    g = inner_inverse(QQ, mat_canon(QQ, a))
     expected = [[Fraction(0)] * n for _ in range(n)]
     for i, j in enumerate(pivots):
         expected[j] = list(e[i])
@@ -268,6 +283,88 @@ def test_is_prime_rejects_moduli_beyond_the_proven_range():
     assert not is_prime(2**100)  # a factor among the bases decides it
 
 
+# --- the payload over Q: integer rows over one denominator ---------------------
+
+
+def _rational_matrices(n):
+    """n x n Fraction matrices with denominators up to 10^12, some rows zero,
+    and the zero and identity matrices."""
+    row = st.one_of(
+        st.just((Fraction(0),) * n),
+        st.tuples(*[st.fractions(max_denominator=BIG)] * n),
+    )
+    return st.one_of(
+        st.sampled_from([_q([[0] * n] * n), _q([[int(i == j) for j in range(n)] for i in range(n)])]),
+        st.tuples(*[row] * n),
+    )
+
+
+def _assert_lowest_terms(m):
+    flat = [x for row in m.num for x in row]
+    assert m.den > 0
+    assert gcd(m.den, *flat) == 1
+    if not any(flat):
+        assert m.den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_rational_matrices(n), _rational_matrices(n))))
+def test_payload_sum_negation_and_product_match_fractions(pair):
+    a, b = pair
+    pa, pb = mat_canon(QQ, a), mat_canon(QQ, b)
+    sums = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    negations = tuple(tuple(-x for x in row) for row in a)
+    for got, want in (
+        (pa, a),
+        (mat_add(QQ, pa, pb), sums),
+        (mat_neg(QQ, pa), negations),
+        (mat_mul(QQ, pa, pb), _ref_mul(a, b)),
+    ):
+        assert _rows(got) == want
+        _assert_lowest_terms(got)
+        assert got == mat_canon(QQ, want) and hash(got) == hash(mat_canon(QQ, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(_rational_matrices), st.randoms(use_true_random=False))
+def test_entry_forms_give_one_payload(a, rnd):
+    ctx = rationals_matrix(len(a))
+
+    def spelled(v):
+        k = rnd.randint(1, 9)
+        return f"{v.numerator * k}/{v.denominator * k}" if rnd.random() < 0.5 else str(v)
+
+    forms = [
+        ctx.elem(a),
+        ctx.elem([[int(v) if v.denominator == 1 else v for v in row] for row in a]),
+        ctx.elem([[rnd.choice([v, str(v)]) for v in row] for row in a]),
+        element_from_json({"ring": {"type": "Q"}, "entries": [[spelled(v) for v in row] for row in a]}),
+    ]
+    for e in forms:
+        _assert_lowest_terms(e.payload)
+        assert e.payload == forms[0].payload
+        assert hash(e.payload) == hash(forms[0].payload)
+        assert _rows(e.payload) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(_rational_matrices(n), min_size=1, max_size=4)),
+    st.data(),
+)
+def test_mat_combination_matches_fractions(mats, data):
+    n = len(mats[0])
+    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=len(mats), max_size=len(mats)))
+    d = data.draw(st.integers(-BIG, BIG).filter(bool))
+    got = mat_combination(QQ, coeffs, [mat_canon(QQ, m) for m in mats], d)
+    want = tuple(
+        tuple(sum((c * m[i][j] for c, m in zip(coeffs, mats)), Fraction(0)) / d for j in range(n))
+        for i in range(n)
+    )
+    assert _rows(got) == want
+    _assert_lowest_terms(got)
+
+
 # --- sympy as an independent oracle -------------------------------------------
 
 
@@ -282,19 +379,19 @@ def _from_sympy(v):
 @_params(ALL)
 def test_rank_against_sympy(a):
     sympy = pytest.importorskip("sympy")
-    assert rank(QQ, a) == _sympy_matrix(sympy, a).rank()
+    assert rank(QQ, mat_canon(QQ, a)) == _sympy_matrix(sympy, a).rank()
 
 
 @_params(SQUARE)
 def test_inverse_against_sympy(a):
     sympy = pytest.importorskip("sympy")
     m = _sympy_matrix(sympy, a)
-    inv = inverse(QQ, a)
+    inv = inverse(QQ, mat_canon(QQ, a))
     if m.det() == 0:
         assert inv is None
     else:
         expected = m.inv()
-        assert inv == tuple(
+        assert _rows(inv) == tuple(
             tuple(_from_sympy(expected[i, j]) for j in range(len(a))) for i in range(len(a))
         )
 
