@@ -99,6 +99,13 @@ def check_hypothesis(a: RingElem, b: RingElem, c: RingElem) -> HypothesisReport:
     return report
 
 
+def _remember_hypothesis(a: RingElem, b: RingElem, c: RingElem, report: HypothesisReport):
+    """Keep report as the evaluation of (a, b, c), for a caller that
+    decided the triple without check_hypothesis (a sweep's class walk)."""
+    global _last_hypothesis
+    _last_hypothesis = (a, b, c, report)
+
+
 def _evaluate_hypothesis(a: RingElem, b: RingElem, c: RingElem) -> HypothesisReport:
     """check_hypothesis without the memo: neither read nor replaced."""
     _require_common_context(a, b, c)

@@ -1,10 +1,12 @@
 """Exhaustive and sampled sweeps over finite rings.
 
 A sweep enumerates triples (a, b, c), finds the ones satisfying the quintic
-hypothesis, and re-runs the selected identity checks on each.  Any failure
-aborts immediately with the offending triple serialized: one counterexample
-to a proved identity means an implementation bug, and burying it in
-statistics would be a footgun.  Reports are deterministic (byte-identical
+hypothesis (on an indexed ring a class pair at a time, see _class_walk), and
+runs the selected identity checks on each, every part of a check once per
+distinct input it reads (see _CHECKS).  Any failure aborts immediately with
+the offending triple serialized: one counterexample to a proved identity
+means an implementation bug, and burying it in statistics would be a
+footgun.  Reports are deterministic (byte-identical
 JSON for identical inputs, including the sample seed and the worker count).
 """
 
@@ -13,10 +15,16 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 from .cline import (
+    BACKWARD,
+    FORWARD,
+    HypothesisReport,
+    _remember_hypothesis,
     check_hypothesis,
     cline_drazin,
     cline_gdrazin,
@@ -42,6 +50,7 @@ from .rings import (
     DEFAULT_TRIPLE_BUDGET,
     RingContext,
     _power_at_most,
+    enumeration_budget,
     is_unit,
     matrix_ring,
     nilpotency,
@@ -55,18 +64,51 @@ ALL_CHECKS = ("t22", "t27", "l21", "l26", "l31", "c23", "c24", "c28")
 SAMPLE_SPACE_CAP = 2**2**16  # sampled sweeps draw from at most this many triples
 
 
-# --- per-triple checks; each returns True when it did substantive work ----
+# --- check parts ---------------------------------------------------------------
+#
+# A check is a sequence of parts.  Each part reads only the inputs its key
+# family names, so a sweep runs it once per distinct key and reuses its
+# verdict (whether it ran; a failure ends the sweep) on every later triple
+# with that key.  Every part also reads the triple's hypothesis report, which
+# holds wherever a sweep runs it.
+#
+#   AB_AC   (a, b, ac): the backward transfers (source ac, target ba, inverse
+#           b d^2 a, core b(1 - ac d)a); the unit flags of 1 - ac and 1 - ba
+#           and the Jacobson inverse built from s = (1 - ac)^-1; (ac)^2,
+#           (ba)^2 and the substitution triple (a, bab, cac), whose products
+#           read only a, ab and ac; the group-inverse formula from ac.
+#   A_C_BA  (a, c, ba): the forward transfers and the group-inverse formula
+#           from ba.
+#   AC_BA   (ac, ba): the quasinilpotency and nilpotency transfers and the
+#           agreement of the Drazin and g-Drazin inverses of ac and of ba.
+#   TRIPLE  (a, b, c): the special-case formula (ba)^d c = b (ac)^d.
+#
+# Each part returns True when it did substantive work.
+
+AB_AC, A_C_BA, AC_BA, TRIPLE = range(4)
 
 
-def _check_t22(a, b, c) -> bool:
-    cline_gdrazin(a, b, c, "backward")
-    cline_gdrazin(a, b, c, "forward")
+def _gdrazin_backward(a, b, c) -> bool:
+    cline_gdrazin(a, b, c, BACKWARD)
     return True
 
 
-def _check_t27(a, b, c) -> bool:
-    cline_drazin(a, b, c, "backward")
-    cline_drazin(a, b, c, "forward")
+def _gdrazin_forward(a, b, c) -> bool:
+    cline_gdrazin(a, b, c, FORWARD)
+    return True
+
+
+def _drazin_backward(a, b, c) -> bool:
+    cline_drazin(a, b, c, BACKWARD)
+    return True
+
+
+def _drazin_forward(a, b, c) -> bool:
+    cline_drazin(a, b, c, FORWARD)
+    return True
+
+
+def _drazin_agreement(a, b, c) -> bool:
     for x in (a * c, b * a):
         cd = drazin_certificate(x)
         cg = gdrazin_certificate(x)
@@ -77,17 +119,17 @@ def _check_t27(a, b, c) -> bool:
     return True
 
 
-def _check_l21(a, b, c) -> bool:
+def _l21(a, b, c) -> bool:
     qnil_transfer(a, b, c)
     return True
 
 
-def _check_l26(a, b, c) -> bool:
+def _l26(a, b, c) -> bool:
     nilpotency_transfer(a, b, c)
     return True
 
 
-def _check_l31(a, b, c) -> bool:
+def _l31(a, b, c) -> bool:
     u_ac, _ = units_transfer(a, b, c)
     if u_ac:
         s = try_inverse(a.ctx.one() - a * c)
@@ -95,40 +137,46 @@ def _check_l31(a, b, c) -> bool:
     return True
 
 
-def _check_c23(a, b, c) -> bool:
+def _c23(a, b, c) -> bool:
     power_transfer(a, b, c, 2)
     return True
 
 
-def _check_c24(a, b, c) -> bool:
+def _c24(a, b, c) -> bool:
     if not check_hypothesis(a, b, c).strong_holds:
         return False
     special_case_formula(a, b, c)
     return True
 
 
-def _check_c28(a, b, c) -> bool:
-    ran = False
-    for x, y, left, right in ((a * c, b * a, b, a), (b * a, a * c, a, c)):
-        sharp = group_inverse(x)
-        if sharp is None:
-            continue
-        ran = True
-        other = drazin_certificate(y)
-        if other is None or other.inverse != left * sharp.inverse * sharp.inverse * right:
-            raise CertificationError("group-inverse transfer formula failed")
-    return ran
+def _group_formula(x, y, left, right) -> bool:
+    """y^D = left (x^#)^2 right whenever x has a group inverse x^#."""
+    sharp = group_inverse(x)
+    if sharp is None:
+        return False
+    other = drazin_certificate(y)
+    if other is None or other.inverse != left * sharp.inverse * sharp.inverse * right:
+        raise CertificationError("group-inverse transfer formula failed")
+    return True
+
+
+def _c28_from_ac(a, b, c) -> bool:
+    return _group_formula(a * c, b * a, b, a)
+
+
+def _c28_from_ba(a, b, c) -> bool:
+    return _group_formula(b * a, a * c, a, c)
 
 
 _CHECKS = {
-    "t22": _check_t22,
-    "t27": _check_t27,
-    "l21": _check_l21,
-    "l26": _check_l26,
-    "l31": _check_l31,
-    "c23": _check_c23,
-    "c24": _check_c24,
-    "c28": _check_c28,
+    "t22": ((AB_AC, _gdrazin_backward), (A_C_BA, _gdrazin_forward)),
+    "t27": ((AB_AC, _drazin_backward), (A_C_BA, _drazin_forward), (AC_BA, _drazin_agreement)),
+    "l21": ((AC_BA, _l21),),
+    "l26": ((AC_BA, _l26),),
+    "l31": ((AB_AC, _l31),),
+    "c23": ((AB_AC, _c23),),
+    "c24": ((TRIPLE, _c24),),
+    "c28": ((AB_AC, _c28_from_ac), (A_C_BA, _c28_from_ba)),
 }
 
 
@@ -230,34 +278,110 @@ def _triple_by_index(ctx: RingContext, idx: int):
     )
 
 
-def _scan_indices(ctx, indices, selected):
-    """Run checks over the given triple indices; returns partial tallies.
+def _class_walk(ctx, block: range):
+    """(idx, a, b, c, report) for each hypothesis triple of a contiguous
+    block of triple indices on an indexed ring, in index order.
 
-    Stops at the first violation, reporting it with the offending triple.
+    For a fixed a, p1 = (ab)(aba), p2 = (ab)(aca), p3 = (ac)(aba) and
+    p4 = (ac)(aca) read b only through its class (ab, aba) and c only
+    through its class (ac, aca), one partition of the ring.  So the
+    hypothesis holds on every triple of a pair of classes or on none, and
+    the pair shares one report.  p1 of the b class must equal p4 of the c
+    class, and both are the map (x, X) -> xX applied to the class, so
+    candidate pairs come from bucketing the classes on it.
+    """
+    elems = ctx.elements()
+    n = len(elems)
+    lo, hi = block.start, block.stop
+    holds = (True,) * 6
+    for ai in range(lo // n**2, -(-hi // n**2)):
+        a = elems[ai]
+        class_of = [(ay, ay * a) for ay in (a * y for y in elems)]
+        members: dict = {}
+        for y, key in zip(elems, class_of):
+            members.setdefault(key, []).append(y)
+        buckets: dict = {}
+        for u, aba in members:
+            buckets.setdefault(u * aba, []).append((u, aba))
+        partners = {}
+        for p, pairs in buckets.items():
+            for u, aba in pairs:
+                hits = []
+                for v, aca in pairs:
+                    if u * aca == p and v * aba == p:
+                        report = HypothesisReport((p, p, p, p), True, aba == aca, holds)
+                        hits += [(c.idx, c, report) for c in members[v, aca]]
+                hits.sort(key=lambda hit: hit[0])
+                partners[u, aba] = hits
+        base = ai * n**2
+        for bi in range(max(lo - base, 0) // n, min(-(-(hi - base) // n), n)):
+            b = elems[bi]
+            for ci, c, report in partners[class_of[bi]]:
+                idx = base + bi * n + ci
+                if lo <= idx < hi:
+                    yield idx, a, b, c, report
+
+
+def _hypothesis_triples(ctx, indices):
+    """(idx, a, b, c, report) for each hypothesis triple among the sorted
+    triple indices, in index order: a contiguous range on an indexed ring
+    by the class walk, anything else by evaluating each triple."""
+    if ctx.indexed and isinstance(indices, range):
+        yield from _class_walk(ctx, indices)
+        return
+    for idx in indices:
+        a, b, c = _triple_by_index(ctx, idx)
+        report = check_hypothesis(a, b, c)
+        if report.holds:
+            yield idx, a, b, c, report
+
+
+def _scan_indices(ctx, indices, selected):
+    """Run the selected checks on the hypothesis triples among the sorted
+    triple indices; returns partial tallies.
+
+    Each check part runs once per distinct key of its family (see
+    _CHECKS), keyed on element indices (payloads on a ring too large to
+    index); checked and passed still count triples.  Index order puts a
+    outermost, so the memos whose keys hold a are emptied when it changes
+    and each memo holds at most |R|^2 keys.  Stops at the first violation,
+    reporting it with the offending triple.
     """
     hypothesis = strong = 0
     counters = {name: {"checked": 0, "passed": 0} for name in selected}
     separations = []
-    examined = 0
-    for idx in indices:
-        a, b, c = _triple_by_index(ctx, idx)
-        examined += 1
-        report = check_hypothesis(a, b, c)
-        if not report.holds:
-            continue
+    checks = [(name, _CHECKS[name]) for name in selected]
+    memos = {part: {} for _, parts in checks for part in parts}
+    ident = attrgetter("idx" if ctx.indexed else "payload")
+    last_a = None
+    for idx, a, b, c, report in _hypothesis_triples(ctx, indices):
         hypothesis += 1
         if report.strong_holds:
             strong += 1
         else:
             separations.append(triple_to_json(a, b, c))
-        for name in selected:
+        ai, bi, ci, aci, bai = map(ident, (a, b, c, a * c, b * a))
+        if ai != last_a:
+            last_a = ai
+            for (family, _), memo in memos.items():
+                if family != AC_BA:
+                    memo.clear()
+        keys = ((ai, bi, aci), (ai, ci, bai), (aci, bai), (ai, bi, ci))
+        _remember_hypothesis(a, b, c, report)  # read by the checks' guards
+        for name, parts in checks:
+            ran = False
             try:
-                # budget errors propagate: running out of enumeration room
-                # is not a counterexample
-                ran = _CHECKS[name](a, b, c)
+                for part in parts:
+                    memo, key = memos[part], keys[part[0]]
+                    done = memo.get(key)
+                    if done is None:
+                        # budget errors propagate: running out of
+                        # enumeration room is not a counterexample
+                        done = memo[key] = part[1](a, b, c)
+                    ran |= done
             except (CertificationError, MissingInverse) as exc:
                 return {
-                    "examined": examined,
+                    "examined": bisect_right(indices, idx),
                     "hypothesis": hypothesis,
                     "strong": strong,
                     "counters": counters,
@@ -268,7 +392,7 @@ def _scan_indices(ctx, indices, selected):
                 counters[name]["checked"] += 1
                 counters[name]["passed"] += 1
     return {
-        "examined": examined,
+        "examined": len(indices),
         "hypothesis": hypothesis,
         "strong": strong,
         "counters": counters,
@@ -310,6 +434,11 @@ def sweep(
     elif mode == "sample":
         if seed is None or count is None:
             raise InputError("sample mode needs both seed and count")
+        if count < 0:
+            raise InputError(f"count must be non-negative, got {count}")
+        budget = enumeration_budget(DEFAULT_TRIPLE_BUDGET)
+        if count > budget:
+            raise BudgetExceeded(f"a sample of {count} triples is over the budget {budget}")
         rng = random.Random(seed)
         total_space = _sample_space(ctx)
         indices = sorted({rng.randrange(total_space) for _ in range(count)})
@@ -383,10 +512,8 @@ def find_separation(ctx: RingContext, limit: int):
     if not ctx.is_finite_ring:
         raise ContextMismatch("separation search needs a finite ring")
     found = []
-    for idx in range(_triple_space(ctx)):
-        a, b, c = _triple_by_index(ctx, idx)
-        report = check_hypothesis(a, b, c)
-        if report.holds and not report.strong_holds:
+    for _, a, b, c, report in _hypothesis_triples(ctx, range(_triple_space(ctx))):
+        if not report.strong_holds:
             found.append((a, b, c))
             if len(found) >= limit:
                 break

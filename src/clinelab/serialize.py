@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .drazin import DrazinCertificate
 from .errors import InputError
@@ -78,12 +79,19 @@ def element_from_json(obj) -> RingElem:
     raise InputError(f"unknown ring type {kind!r}")
 
 
+def _rational_text(p: int, q: int) -> str:
+    """p/q in lowest terms, q > 0, as str(Fraction(p, q)) writes it."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def element_to_json(elem: RingElem) -> dict:
     ctx = elem.ctx
     if isinstance(ctx, MatrixContext):
+        den = elem.payload.den
         return {
             "ring": {"type": "Q"},
-            "entries": [[str(v) for v in row] for row in elem.payload],
+            "entries": [[_rational_text(v, den) for v in row] for row in elem.payload.num],
         }
     if isinstance(ctx, ZModContext):
         return {"ring": {"type": "Zmod", "n": ctx.n}, "entries": [[elem.payload]]}

@@ -2,13 +2,16 @@
 
 The library row-reduces by a fraction-free row step, decides
 double-commutant membership over Q by a polynomial witness, reads the
-Drazin inverse off the minimal polynomial, and numbers finite-ring
-elements through their index; these helpers recompute each by another
-route.
+Drazin inverse off the minimal polynomial, numbers finite-ring elements
+through their index, and sweeps by hypothesis class with each check run
+once per distinct input; these helpers recompute each by another route.
 """
 
-from clinelab import linalg
+from clinelab import explorer, linalg
+from clinelab.cline import check_hypothesis
+from clinelab.errors import CertificationError, MissingInverse
 from clinelab.rings import RingElem
+from clinelab.serialize import triple_to_json
 
 
 def rref_field(dom, a):
@@ -169,3 +172,45 @@ def in_krylov_span(b: RingElem, a: RingElem) -> bool:
         basis.append((pivot, [dom.canon(inv * x) for x in v]))
         p = p * a
     return all(x == dom.zero for x in reduce(b))
+
+
+def scan_per_triple(ctx, indices, selected):
+    """explorer._scan_indices without the class walk or the check memo:
+    the hypothesis is evaluated on every triple, and every part of every
+    selected check runs on every hypothesis triple."""
+    hypothesis = strong = examined = 0
+    counters = {name: {"checked": 0, "passed": 0} for name in selected}
+    separations = []
+    violation = None
+    for idx in indices:
+        a, b, c = explorer._triple_by_index(ctx, idx)
+        examined += 1
+        report = check_hypothesis(a, b, c)
+        if not report.holds:
+            continue
+        hypothesis += 1
+        if report.strong_holds:
+            strong += 1
+        else:
+            separations.append(triple_to_json(a, b, c))
+        for name in selected:
+            try:
+                ran = False
+                for _, part in explorer._CHECKS[name]:
+                    ran |= part(a, b, c)
+            except (CertificationError, MissingInverse) as exc:
+                violation = (name, triple_to_json(a, b, c), str(exc))
+                break
+            if ran:
+                counters[name]["checked"] += 1
+                counters[name]["passed"] += 1
+        if violation:
+            break
+    return {
+        "examined": examined,
+        "hypothesis": hypothesis,
+        "strong": strong,
+        "counters": counters,
+        "separations": separations,
+        "violation": violation,
+    }

@@ -3,6 +3,7 @@
 import json
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,35 @@ def test_matzmod_round_trip():
 def test_rational_serialization_is_lossless(rows):
     e = rationals_matrix(2).elem(rows)
     assert element_from_json(element_to_json(e)) == e
+
+
+_entry = st.builds(
+    Fraction,
+    st.integers(-(10**15), 10**15),
+    st.one_of(st.just(1), st.integers(1, 10**12)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3))
+def test_rational_entries_are_written_as_str_of_fraction(rows):
+    # entries are formatted from the integer rows and the common
+    # denominator; the row view builds the Fractions they must print as
+    e = rationals_matrix(3).elem(rows)
+    assert element_to_json(e)["entries"] == [[str(v) for v in row] for row in e.payload]
+
+
+def test_rational_entries_of_integer_and_zero_matrices():
+    ring = rationals_matrix(2)
+    assert element_to_json(ring.zero())["entries"] == [["0", "0"], ["0", "0"]]
+    e = ring.elem([[-4, 0], [7, "-10/5"]])
+    assert e.payload.den == 1
+    assert element_to_json(e)["entries"] == [["-4", "0"], ["7", "-2"]]
+    e = ring.elem([["-3/6", 0], ["1/1000000000000", "999999999999/1000000000000"]])
+    assert element_to_json(e)["entries"] == [
+        ["-1/2", "0"],
+        ["1/1000000000000", "999999999999/1000000000000"],
+    ]
 
 
 @settings(max_examples=40)
@@ -388,6 +418,25 @@ def test_huge_matrix_ring_samples_exit_2_without_building_the_count(capsys, ring
         capsys, argv + ["--seed", "1", "--count", "1", "--theorems", "l26"]
     )
     assert "triples, over the sample bound 2^65536" in err
+
+
+def test_negative_sample_count_exits_2(capsys):
+    argv = ["explore", "sweep", "--ring", "mat2z2", "--mode", "sample", "--seed", "1"]
+    err = _assert_quick_input_error(capsys, argv + ["--count", "-5"])
+    assert "count must be non-negative" in err
+
+
+@pytest.mark.parametrize("budget", [None, "1000"])
+def test_sample_count_over_the_triple_budget_exits_2_before_drawing(capsys, monkeypatch, budget):
+    # 10^8 draws alone would take well over the 2 s bound; the count is
+    # checked against the triple budget (2^24 unless CLINE_LAB_BUDGET is set)
+    if budget is not None:
+        monkeypatch.setenv("CLINE_LAB_BUDGET", budget)
+    count = "100000000" if budget is None else "1001"
+    argv = ["explore", "sweep", "--ring", "mat2z2", "--mode", "sample", "--seed", "1"]
+    err = _assert_quick_input_error(capsys, argv + ["--count", count])
+    limit = 2**24 if budget is None else 1000
+    assert f"a sample of {count} triples is over the budget {limit}" in err
 
 
 def test_matzmod_literal_of_huge_size_exits_2_quickly(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Sweeps, separation search, and the end-to-end example verification."""
 
+import functools
 import hashlib
 import itertools
 
 import pytest
-from oracles import index_by_digits
+from oracles import index_by_digits, scan_per_triple
+
+import clinelab.explorer as explorer
 
 from clinelab import (
     BudgetExceeded,
@@ -18,8 +21,8 @@ from clinelab import (
     verify_example_29,
     zmod,
 )
-from clinelab.explorer import _CHECKS, ALL_CHECKS
-from clinelab.serialize import dumps_canonical
+from clinelab.explorer import _CHECKS, A_C_BA, AB_AC, AC_BA, ALL_CHECKS, TRIPLE, _scan_indices
+from clinelab.serialize import dumps_canonical, triple_to_json
 
 
 def _count_hypothesis_triples_directly(ring):
@@ -153,6 +156,139 @@ def test_zmod32_all_checks_sweep_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_mat2z3_all_checks_sweep_is_pinned():
+    # recorded with the per-triple scan, before sweeps walked hypothesis
+    # classes and ran each check part once per distinct key
+    report = sweep(matrix_ring(3, 2))
+    counts = (
+        report.triples_total,
+        report.triples_hypothesis,
+        report.triples_strong,
+        len(report.separations_found),
+    )
+    assert counts == (531441, 81585, 80433, 1152)
+    text = dumps_canonical(report.to_json())
+    digest = "82af6e13b3b53b80f2c6cff34f4a6e391a6ef21fb7674e4269afa96586d1fbc3"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# --- the class walk and the check memo against the per-triple oracle ---------
+
+
+def _oracle_sweep(monkeypatch, ring, **kwargs):
+    """Canonical JSON of the sweep with the per-triple scan in place of
+    _scan_indices, at one job: the oracle does not depend on the count."""
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_scan_indices", scan_per_triple)
+        return dumps_canonical(sweep(ring, **{**kwargs, "jobs": 1}).to_json())
+
+
+@pytest.mark.parametrize(
+    "ring, kwargs",
+    [
+        (zmod(12), {}),
+        (zmod(8), {}),
+        (matrix_ring(2, 2), {}),
+        (zmod(32), {}),
+        (matrix_ring(4, 2), {"mode": "sample", "seed": 7, "count": 300}),
+        (matrix_ring(4, 2), {"mode": "sample", "seed": 7, "count": 300, "jobs": 2}),
+        # two workers cut 1728 triples into blocks of 216 (216 into blocks
+        # of 27), and a changes every 144 (36): blocks start and end partway
+        # through an a
+        (zmod(12), {"jobs": 2}),
+        (zmod(6), {"jobs": 2}),
+    ]
+    + [(matrix_ring(2, 2), {"theorems": name}) for name in ALL_CHECKS],
+    ids=["zmod12", "zmod8", "mat2z2", "zmod32", "mat2z4-sample", "mat2z4-sample-jobs2",
+         "zmod12-jobs2", "zmod6-jobs2"] + [f"mat2z2-{name}" for name in ALL_CHECKS],
+)
+def test_sweep_equals_the_per_triple_oracle(monkeypatch, ring, kwargs):
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+    expected = _oracle_sweep(monkeypatch, ring, **kwargs)
+    assert dumps_canonical(sweep(ring, **kwargs).to_json()) == expected
+
+
+@pytest.mark.parametrize(
+    "ring, lo, hi",
+    [
+        (matrix_ring(2, 2), 1000, 3001),
+        (matrix_ring(2, 2), 700, 701),
+        (matrix_ring(2, 2), 515, 515),
+        (zmod(12), 150, 1000),
+        (zmod(12), 1727, 1728),
+    ],
+)
+def test_blocks_that_cut_through_an_a_equal_the_oracle(ring, lo, hi):
+    block = range(lo, hi)
+    assert _scan_indices(ring, block, ALL_CHECKS) == scan_per_triple(ring, block, ALL_CHECKS)
+
+
+@pytest.mark.parametrize("ring", [zmod(4), zmod(12), matrix_ring(2, 2)], ids=str)
+@pytest.mark.parametrize("limit", [1, 7, 10**6])
+def test_find_separation_equals_the_oracle(ring, limit):
+    found = [triple_to_json(*t) for t in find_separation(ring, limit)]
+    everything = scan_per_triple(ring, range(ring.element_count**3), ())["separations"]
+    assert found == everything[:limit]
+
+
+# the inputs each key family names, as functions of the triple
+_KEY_INPUTS = {
+    AB_AC: lambda a, b, c: (a, b, a * c),
+    A_C_BA: lambda a, b, c: (a, c, b * a),
+    AC_BA: lambda a, b, c: (a * c, b * a),
+    TRIPLE: lambda a, b, c: (a, b, c),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fault_key(ring, family):
+    """The first key of the family (its inputs' element indices) whose first
+    hypothesis triple comes after, for each input, a hypothesis triple that
+    agrees with it on every other input: a memo keyed without that input
+    would reuse the pass recorded there."""
+    inputs = _KEY_INPUTS[family]
+    first, partial = {}, {}
+    for idx, triple in enumerate(itertools.product(ring.elements(), repeat=3)):
+        if not check_hypothesis(*triple).holds:
+            continue
+        key = tuple(x.idx for x in inputs(*triple))
+        if key in first:
+            continue
+        first[key] = idx
+        shorter = [(i, key[:i] + key[i + 1 :]) for i in range(len(key))]
+        for cut in shorter:
+            partial.setdefault(cut, idx)
+        if all(partial[cut] < idx for cut in shorter):
+            return key
+    raise AssertionError(f"no key of family {family} in {ring.label} can catch a short key")
+
+
+_PARTS = [(name, pos) for name in ALL_CHECKS for pos in range(len(_CHECKS[name]))]
+
+
+@pytest.mark.parametrize("ring", [zmod(8), matrix_ring(2, 2)], ids=["zmod8", "mat2z2"])
+@pytest.mark.parametrize("name, pos", _PARTS, ids=[f"{n}-part{p}" for n, p in _PARTS])
+def test_a_fault_keyed_on_a_parts_inputs_surfaces_at_the_oracles_triple(
+    monkeypatch, ring, name, pos
+):
+    parts = _CHECKS[name]
+    family, part = parts[pos]
+    inputs = _KEY_INPUTS[family]
+    key = _fault_key(ring, family)
+
+    def faulty(a, b, c):
+        if tuple(x.idx for x in inputs(a, b, c)) == key:
+            raise CertificationError(f"injected fault at {key}")
+        return part(a, b, c)
+
+    monkeypatch.setitem(_CHECKS, name, parts[:pos] + ((family, faulty),) + parts[pos + 1 :])
+    expected = scan_per_triple(ring, range(ring.element_count**3), (name,))["violation"]
+    assert expected is not None and expected[2] == f"injected fault at {key}"
+    with pytest.raises(SweepViolation) as info:
+        sweep(ring, name)
+    assert (info.value.check, info.value.triple_json, info.value.detail) == expected
+
+
 def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
     # an in-process stand-in for the pool: no worker process is started
     import clinelab.explorer as explorer
@@ -248,7 +384,7 @@ def test_violation_aborts_with_serialized_triple(monkeypatch):
     def broken(a, b, c):
         raise CertificationError("synthetic failure")
 
-    monkeypatch.setitem(_CHECKS, "l26", broken)
+    monkeypatch.setitem(_CHECKS, "l26", ((AC_BA, broken),))
     with pytest.raises(SweepViolation) as info:
         sweep(zmod(2), "l26", "exhaustive")
     exc = info.value
