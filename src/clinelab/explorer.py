@@ -18,6 +18,7 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from operator import attrgetter
 
 from .cline import (
@@ -56,7 +57,6 @@ from .rings import (
     nilpotency,
     require_budget,
     try_inverse,
-    zmod,
 )
 from .serialize import element_to_json, triple_to_json
 
@@ -230,22 +230,6 @@ def _normalize_theorems(theorems) -> tuple:
     return tuple(t for t in ALL_CHECKS if t in theorems)
 
 
-def _ring_spec(ctx: RingContext):
-    from .rings import MatrixRingContext, ZModContext
-
-    if isinstance(ctx, ZModContext):
-        return ("zmod", ctx.n)
-    if isinstance(ctx, MatrixRingContext):
-        return ("matzmod", ctx.n, ctx.size)
-    raise ContextMismatch("sweeps need an enumerable finite ring")
-
-
-def _ring_from_spec(spec) -> RingContext:
-    if spec[0] == "zmod":
-        return zmod(spec[1])
-    return matrix_ring(spec[1], spec[2])
-
-
 def _triple_space(ctx: RingContext) -> int:
     """|R|^3, checked against the triple budget when it is to be walked whole."""
     require_budget(ctx, 3, "triples", DEFAULT_TRIPLE_BUDGET)
@@ -402,9 +386,9 @@ def _scan_indices(ctx, indices, selected):
 
 
 def _scan_block(args):
-    """Pool worker: scan one block of triple indices (a range or a list)."""
-    spec, indices, selected = args
-    return _scan_indices(_ring_from_spec(spec), indices, selected)
+    """Pool worker: scan one block of triple indices (a range or a list);
+    the task's ring pickles as its factory call, e.g. matrix_ring(4, 2)."""
+    return _scan_indices(*args)
 
 
 _scan_explicit = _scan_block  # perfbench/layers.py wraps the worker by both names
@@ -490,11 +474,10 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     number of workers.  That number is capped at the CPU count: a pool
     starts all its workers at once.
     """
-    spec = _ring_spec(ctx)
     workers = min(jobs, os.cpu_count() or 1)
     size = max(len(indices) // (workers * 4), 1)
     tasks = [
-        (spec, indices[i : i + size], selected) for i in range(0, len(indices), size)
+        (ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_scan_block, tasks))
@@ -508,16 +491,17 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
 
 def find_separation(ctx: RingContext, limit: int):
     """Up to `limit` triples with the hypothesis but aba != aca, in
-    deterministic enumeration order."""
+    deterministic enumeration order; none for limit 0."""
     if not ctx.is_finite_ring:
         raise ContextMismatch("separation search needs a finite ring")
-    found = []
-    for _, a, b, c, report in _hypothesis_triples(ctx, range(_triple_space(ctx))):
-        if not report.strong_holds:
-            found.append((a, b, c))
-            if len(found) >= limit:
-                break
-    return found
+    if limit < 0:
+        raise InputError(f"limit must be non-negative, got {limit}")
+    found = (
+        (a, b, c)
+        for _, a, b, c, report in _hypothesis_triples(ctx, range(_triple_space(ctx)))
+        if not report.strong_holds
+    )
+    return list(islice(found, limit))
 
 
 @dataclass

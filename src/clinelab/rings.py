@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, eq, mul
+from operator import add, eq
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
@@ -299,6 +299,9 @@ class MatrixContext(_MatrixPayloads, RingContext):
         self.n = self.size = n
         self.label = f"M{n}(Q)"
 
+    def __reduce__(self):
+        return rationals_matrix, (self.n,)
+
 
 def _power_at_most(base: int, exp: int, bound: int) -> bool:
     """Whether base**exp <= bound, for base >= 2.  The power is built only
@@ -405,11 +408,16 @@ class ZModContext(FiniteRingContext):
     """The ring of integers modulo n; payloads are ints in [0, n), and an
     element's index is its payload."""
 
+    size = 1  # as for M_1(Z/n)
+
     def __init__(self, n: int):
         if n < 2:
             raise InputError("modulus must be >= 2")
         super().__init__(n, 1)
         self.label = f"Z/{n}"
+
+    def __reduce__(self):
+        return zmod, (self.n,)
 
     def _canon(self, payload):
         if isinstance(payload, Fraction):
@@ -458,18 +466,19 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     """m-by-m matrices over Z/n, treated as one enumerable finite ring.
 
     The digits of an element are its entries read row by row.  An indexed
-    ring of N elements keeps its products and sums in N-by-N tables of
-    indices and its negations in a table of N; each starts at -1 and fills
-    in as results are first asked for.
+    ring of N elements keeps one complete N-by-N product table of indices,
+    cell i*N + j holding index(x_i*x_j), built on the first product or
+    mask; its commuting masks compare row i of the table with column i.
+    Sums and negations are sparse, so their tables (N-by-N and N cells of
+    -1) fill in as results are first asked for.
 
-    Commuting masks are built a whole line of products at a time, and kept.
+    The product table is built a row at a time, with no payload product.
     Column c of x*y is x times column c of y and fills only the digits
     (r, c), so index(x*y) = sum over c of T_x[col_c(y)] * n^(m-1-c), where
     T_x maps each of the n^m column vectors v to sum over r of
-    ((x*v)_r mod n) * n^(m(m-1-r)).  The other order comes from the same
-    line through the transposition permutation tr: index(y*x) =
-    tr[index(x^T * y^T)].  The column codes of every element and tr are
-    built with the first mask.
+    ((x*v)_r mod n) * n^(m(m-1-r)), and is summed one row r of x at a time:
+    the dot products of that row with every v, in code order, are built
+    one entry of the row at a time.
     """
 
     def __init__(self, n: int, size: int):
@@ -484,8 +493,10 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         self._products: array | None = None
         self._sums: array | None = None
         self._negations: array | None = None
-        self._columns: tuple | None = None
         self._masks: list | None = None
+
+    def __reduce__(self):
+        return matrix_ring, (self.n, self.size)
 
     def _fill(self, name: str, cell: int, op, *indices) -> int:
         """Store in cell of the table `name` the index of op applied to the
@@ -499,14 +510,42 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         k = table[cell] = self._pos[op(*[elems[i].payload for i in indices])]
         return k
 
+    def _product_table(self) -> array:
+        """The complete product table, built on first use and kept."""
+        if self._products is None:
+            n, m, elems = self.n, self.size, self._elems
+            # the weight of digit k of a column code, and of column k of an index
+            weights = [n ** (m - 1 - k) for k in range(m)]
+            row_weights = [w**m for w in weights]
+            codes = [
+                [sum(row[c] * w for row, w in zip(e.payload, weights)) for e in elems]
+                for c in range(m)
+            ]
+            digits = range(n)
+            table = array("h")
+            for x in elems:
+                t = None
+                for row, w in zip(x.payload, row_weights):
+                    dots = [0]  # (x*v)_r for every column vector v, in code order
+                    for entry in row:
+                        dots = [d + entry * k for d in dots for k in digits]
+                    part = [d % n * w for d in dots]
+                    t = part if t is None else map(add, t, part)
+                t = list(t)
+                line = None
+                for column_codes, w in zip(codes, weights):
+                    part = map([v * w for v in t].__getitem__, column_codes)
+                    line = part if line is None else map(add, line, part)
+                table.extend(line)
+            self._products = table
+        return self._products
+
     def _product(self, i, j):
         elems = self._elems
-        cell = i * len(elems) + j
         table = self._products
-        k = -1 if table is None else table[cell]
-        if k < 0:
-            k = self._fill("_products", cell, self._mul, i, j)
-        return elems[k]
+        if table is None:
+            table = self._product_table()
+        return elems[table[i * len(elems) + j]]
 
     def _sum(self, i, j):
         elems = self._elems
@@ -524,45 +563,16 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
             k = self._fill("_negations", i, self._neg, i)
         return self._elems[k]
 
-    def _lines(self, i: int) -> tuple:
-        """(index(x*y), index(y*x)) for every y in index order, as two
-        lists, x the element with index i."""
-        n, m, elems = self.n, self.size, self._elems
-        # the weight of digit k of a column code, and of column k of an index
-        weights = [n ** (m - 1 - k) for k in range(m)]
-        if self._columns is None:
-            codes = tuple(
-                [sum(row[c] * w for row, w in zip(e.payload, weights)) for e in elems]
-                for c in range(m)
-            )
-            tr = [self._pos[tuple(zip(*e.payload))] for e in elems]
-            self._columns = (tuple(product(range(n), repeat=m)), codes, tr)
-        vectors, codes, tr = self._columns
-        row_weights = [w**m for w in weights]
-
-        def line(x) -> list:
-            table = [
-                sum(sum(map(mul, row, v)) % n * w for row, w in zip(x, row_weights))
-                for v in vectors
-            ]
-            out = None
-            for column_codes, w in zip(codes, weights):
-                part = map([t * w for t in table].__getitem__, column_codes)
-                out = part if out is None else map(add, out, part)
-            return list(out)
-
-        transposed = line(elems[tr[i]].payload)
-        return line(elems[i].payload), [tr[k] for k in map(transposed.__getitem__, tr)]
-
     def _commuting_mask(self, i):
         masks = self._masks
         if masks is None:
             masks = self._masks = [None] * len(self._elems)
         mask = masks[i]
         if mask is None:
-            left, right = self._lines(i)
+            table, count = self._product_table(), len(self._elems)
+            row, column = table[i * count : (i + 1) * count], table[i::count]
             # bytes of 0/1 per index, highest index first, read as binary
-            mask = masks[i] = int(bytes(map(eq, left, right))[::-1].translate(_BITS), 2)
+            mask = masks[i] = int(bytes(map(eq, row, column))[::-1].translate(_BITS), 2)
         return mask
 
     def _from_digits(self, digits):
@@ -662,8 +672,6 @@ def try_inverse(x: RingElem) -> RingElem | None:
             return None
 
         def compute():
-            if ctx.domain.is_field:
-                return ctx._wrap(linalg.inverse(ctx.domain, x.payload))
             # adj(x) = det(x) * x^-1 over Q is an integer matrix, so
             # x^-1 = adj(x) * (det mod n)^-1 mod n
             det = _det(x)
@@ -685,34 +693,26 @@ def try_inverse(x: RingElem) -> RingElem | None:
 
 
 def nilpotency(x: RingElem) -> NilpotencyWitness:
-    """Nilpotency test with exact index.
+    """Nilpotency test with exact index, by at most B powers of x.
 
-    n-by-n matrices over a field stop at exponent n (the index bound);
-    other finite rings stop at the first repeated power.
+    An m-by-m matrix over a field has index at most m, so B = m there.  A
+    nilpotent N in M_m(Z/p^e) has N^m in pM_m, so N^(m*e) = 0, and by the
+    Chinese remainder theorem the index over Z/n is at most m*e_max <=
+    m*log2(n); so B = m * n.bit_length() otherwise (Z/n is M_1(Z/n)).
     """
     ctx = x.ctx
 
     def compute():
-        if ctx.domain is not None and ctx.domain.is_field:
-            zero = ctx.zero()
-            p = x
-            for k in range(1, len(x.payload) + 1):
-                if p == zero:
-                    return NilpotencyWitness(True, k)
-                p = p * x
-            return NilpotencyWitness(False, None)
+        bound = ctx.size
+        if ctx.domain is None or not ctx.domain.is_field:
+            bound *= ctx.n.bit_length()
         zero = ctx.zero()
-        seen = {x.payload}
         p = x
-        k = 1
-        while True:
+        for k in range(1, bound + 1):
             if p == zero:
                 return NilpotencyWitness(True, k)
             p = p * x
-            k += 1
-            if p.payload in seen:
-                return NilpotencyWitness(False, None)
-            seen.add(p.payload)
+        return NilpotencyWitness(False, None)
 
     return ctx.cached(("nilpotency", x.payload), compute)
 

@@ -3,8 +3,9 @@
 The library row-reduces by a fraction-free row step, decides
 double-commutant membership over Q by a polynomial witness, reads the
 Drazin inverse off the minimal polynomial, numbers finite-ring elements
-through their index, and sweeps by hypothesis class with each check run
-once per distinct input; these helpers recompute each by another route.
+through their index, bounds nilpotency tests by the index bound, and
+sweeps by hypothesis class with each check run once per distinct input;
+these helpers recompute each by another route.
 """
 
 from clinelab import explorer, linalg
@@ -120,6 +121,23 @@ def index_by_digits(ring, e: RingElem) -> int:
     for v in entries:
         i = i * ring.n + v
     return i
+
+
+def nilpotency_by_repeat(x: RingElem):
+    """(is_nilpotent, index) of an element of a finite ring, by powering
+    until a power is zero or repeats (then the powers cycle, never zero)."""
+    zero = x.ctx.zero()
+    seen = {x.payload}
+    p = x
+    k = 1
+    while True:
+        if p == zero:
+            return True, k
+        p = p * x
+        k += 1
+        if p.payload in seen:
+            return False, None
+        seen.add(p.payload)
 
 
 def inner_inverse(dom, a):

@@ -362,6 +362,18 @@ def test_explore_separations(capsys):
     assert len(data["separations"]) == 2
 
 
+def test_explore_separations_limit_zero_lists_none(capsys):
+    code, out, _ = _run(capsys, ["explore", "separations", "--ring", "zmod4", "--limit", "0"])
+    assert code == 0
+    assert json.loads(out) == {"ring": "Z/4", "limit": 0, "separations": []}
+
+
+def test_explore_separations_negative_limit_exits_2(capsys):
+    code, out, err = _run(capsys, ["explore", "separations", "--ring", "zmod4", "--limit", "-3"])
+    assert code == 2 and out == ""
+    assert err == "error: limit must be non-negative, got -3\n"
+
+
 def test_explore_example29(capsys):
     code, out, _ = _run(capsys, ["explore", "example29"])
     assert code == 0

@@ -12,6 +12,7 @@ import clinelab.explorer as explorer
 from clinelab import (
     BudgetExceeded,
     CertificationError,
+    InputError,
     SweepViolation,
     check_hypothesis,
     example_29_triple,
@@ -224,11 +225,17 @@ def test_blocks_that_cut_through_an_a_equal_the_oracle(ring, lo, hi):
 
 
 @pytest.mark.parametrize("ring", [zmod(4), zmod(12), matrix_ring(2, 2)], ids=str)
-@pytest.mark.parametrize("limit", [1, 7, 10**6])
+@pytest.mark.parametrize("limit", [0, 1, 7, 10**6])
 def test_find_separation_equals_the_oracle(ring, limit):
     found = [triple_to_json(*t) for t in find_separation(ring, limit)]
     everything = scan_per_triple(ring, range(ring.element_count**3), ())["separations"]
     assert found == everything[:limit]
+
+
+@pytest.mark.parametrize("limit", [-1, -3])
+def test_find_separation_refuses_a_negative_limit(limit):
+    with pytest.raises(InputError, match="limit must be non-negative"):
+        find_separation(zmod(4), limit)
 
 
 # the inputs each key family names, as functions of the triple

@@ -1,12 +1,19 @@
 """Contexts, canonical payloads, and the element predicates."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import commutant_basis, in_double_commutant_by_basis, index_by_digits
+from oracles import (
+    commutant_basis,
+    in_double_commutant_by_basis,
+    index_by_digits,
+    nilpotency_by_repeat,
+)
 
 from clinelab import (
     BudgetExceeded,
@@ -20,11 +27,13 @@ from clinelab import (
     matrix_ring,
     nilpotency,
     rationals_matrix,
+    sweep,
     try_inverse,
     uses_elimination,
     zmod,
 )
 from clinelab.linalg import ModularDomain, is_prime, rank
+from clinelab.rings import NilpotencyWitness
 
 Z4 = zmod(4)
 Z8 = zmod(8)
@@ -156,6 +165,20 @@ def test_try_inverse_round_trips():
     assert inv is not None and m * inv == matrix_ring(4, 2).one()
 
 
+@pytest.mark.parametrize("n, size", [(5, 2), (2, 3)])
+def test_try_inverse_mod_prime_equals_the_field_inverse(n, size):
+    # the adjugate lift over Q is the one path for every modulus
+    from clinelab.linalg import inverse
+
+    ring, field = matrix_ring(n, size), ModularDomain(n)
+    units = 0
+    for x in ring.elements():
+        if is_unit(x):
+            units += 1
+            assert try_inverse(x).payload == inverse(field, x.payload)
+    assert units == {5: 480, 2: 168}[n]  # |GL_2(F_5)|, |GL_3(F_2)|
+
+
 @pytest.mark.parametrize("n, size, samples", [(4, 2, None), (6, 3, 300), (8, 2, 200)])
 def test_try_inverse_mod_composite_n(n, size, samples):
     """x in M_m(Z/n) is a unit exactly when its reduction mod each prime
@@ -214,6 +237,73 @@ def test_ba_of_separation_triple_nilpotent_with_small_index():
 def test_zero_has_index_one():
     assert nilpotency(M2Q.zero()).index == 1
     assert nilpotency(Z4.zero()).index == 1
+
+
+def _check_nilpotency_against_the_oracle(xs):
+    nilpotent = 0
+    for x in xs:
+        w = nilpotency(x)
+        assert (w.is_nilpotent, w.index) == nilpotency_by_repeat(x)
+        nilpotent += w.is_nilpotent
+    return nilpotent
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [zmod(n) for n in (2, 8, 12, 64, 72, 97, 1000)]
+    + [matrix_ring(n, 2) for n in (2, 3, 4, 5)]
+    + [matrix_ring(2, 3)],
+    ids=lambda ring: ring.label,
+)
+def test_bounded_nilpotency_equals_the_repeat_oracle_on_every_element(ring):
+    assert _check_nilpotency_against_the_oracle(ring.elements()) >= 1
+
+
+def test_bounded_nilpotency_equals_the_repeat_oracle_on_z4096():
+    # every even element is nilpotent; the oracle walks a unit's whole
+    # cycle, so the units are sampled
+    ring = zmod(4096)
+    odd = random.Random(4096).sample(range(1, 4096, 2), 100)
+    xs = [ring.elem(k) for k in [*range(0, 4096, 2), *odd]]
+    assert _check_nilpotency_against_the_oracle(xs) == 2048
+
+
+@pytest.mark.parametrize("n, size", [(6, 2), (8, 2), (9, 2), (16, 2), (4, 3), (8, 3), (2, 4)])
+def test_bounded_nilpotency_equals_the_repeat_oracle_on_samples(n, size):
+    # random elements, and nilpotents P U P^-1 + rad(n) R (U strictly upper
+    # triangular, P a unit): every reduction mod a prime p | n is nilpotent
+    ring = matrix_ring(n, size)
+    rng = random.Random(n * 10 + size)
+    radical = math.prod(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+
+    def draw(upper=False):
+        return ring.elem(
+            [[rng.randrange(n) if j > i or not upper else 0 for j in range(size)]
+             for i in range(size)]
+        )
+
+    built = []
+    while len(built) < 60:
+        p = draw()
+        p_inv = try_inverse(p)
+        if p_inv is not None:
+            built.append(p * draw(upper=True) * p_inv + radical * draw())
+    _check_nilpotency_against_the_oracle([draw() for _ in range(150)])
+    assert _check_nilpotency_against_the_oracle(built) == len(built)
+
+
+@pytest.mark.parametrize(
+    "x, index",
+    [
+        (matrix_ring(16, 2).elem([[0, 1], [2, 0]]), 8),  # x^2 = 2I
+        (matrix_ring(8, 3).elem([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), 9),  # x^3 = 2I
+        (zmod(4096).elem(2), 12),
+    ],
+)
+def test_nilpotency_reaches_the_index_bound(x, index):
+    # m * e_max, the largest index M_m(Z/p^e) allows
+    assert nilpotency(x) == NilpotencyWitness(True, index)
+    assert nilpotency_by_repeat(x) == (True, index)
 
 
 @settings(max_examples=40)
@@ -462,23 +552,24 @@ def test_commutant_from_masks_matches_enumeration_in_order(ring):
 
 @pytest.mark.parametrize("n, size", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_product_lines_match_payload_products(n, size):
-    # both lines of the kernel, index(x*y) and index(y*x) for every y
+    # the complete product table, cell i*N + j = index(x_i*x_j), against
+    # payload products; a row is x*y and a column y*x for every y
     ring = matrix_ring(n, size)
     els, pos, mul = ring.elements(), ring._pos, ring._mul
-    table = [[pos[mul(x.payload, y.payload)] for y in els] for x in els]
-    for x in els:
-        left, right = ring._lines(x.idx)
-        assert left == table[x.idx]
-        assert right == [row[x.idx] for row in table]
+    table = [pos[mul(x.payload, y.payload)] for x in els for y in els]
+    assert ring._product_table().tolist() == table
 
 
 def test_product_lines_match_payload_products_on_m2z5_sample():
     ring = matrix_ring(5, 2)
     els, pos, mul = ring.elements(), ring._pos, ring._mul
+    table, count = ring._product_table(), len(els)
     for x in random.Random(5).sample(els, 40):
-        left, right = ring._lines(x.idx)
-        assert left == [pos[mul(x.payload, y.payload)] for y in els]
-        assert right == [pos[mul(y.payload, x.payload)] for y in els]
+        i = x.idx
+        assert table[i * count : (i + 1) * count].tolist() == [
+            pos[mul(x.payload, y.payload)] for y in els
+        ]
+        assert table[i::count].tolist() == [pos[mul(y.payload, x.payload)] for y in els]
 
 
 def test_zmod_commuting_masks_are_full():
@@ -505,6 +596,27 @@ def test_unit_test_and_inverse_share_one_determinant(monkeypatch):
             units += 1
     assert units == 96  # |GL_2(Z/4)|
     assert sorted(calls) == sorted(x.payload for x in ring.elements())
+
+
+@pytest.mark.parametrize("ring", [M2Q, Z8, M2Z2, matrix_ring(2, 6)], ids=repr)
+def test_rings_pickle_as_their_factory_call(ring):
+    assert pickle.loads(pickle.dumps(ring)) is ring
+
+
+def test_indexed_matrix_rings_have_one_product_path(monkeypatch):
+    # with the payload product gone, a sweep of fresh indexed contexts
+    # still runs: every product is read from the complete table
+    from clinelab.rings import MatrixRingContext
+
+    def no_payload_products(self, x, y):
+        raise AssertionError("payload product on an indexed ring")
+
+    monkeypatch.setattr(MatrixRingContext, "_mul", no_payload_products)
+    report = sweep(MatrixRingContext(2, 2), "all")
+    assert (report.triples_hypothesis, report.triples_strong) == (1540, 1504)
+    report = sweep(MatrixRingContext(4, 2), "all", "sample", seed=7, count=4000)
+    assert (report.triples_hypothesis, report.triples_strong) == (865, 617)
+    assert report.counters["t22"] == {"checked": 865, "passed": 865}
 
 
 def test_double_commutant_keeps_the_budget_gate_after_masks_are_cached(monkeypatch):
