@@ -26,14 +26,12 @@ from .cline import (
 )
 from .drazin import (
     DrazinCertificate,
-    IndexProfile,
     drazin_certificate,
     drazin_finite_ring,
     drazin_matrix,
     gdrazin_certificate,
     gdrazin_finite_ring,
     group_inverse,
-    index_profile,
     is_polynomial_in,
 )
 from .errors import (

@@ -5,10 +5,11 @@ over a field, M_n(Q) or M_m(Z/p) with p prime: one Krylov pass over the
 powers of a finds its minimal polynomial, whose lowest nonzero term gives
 the index and whose other terms give the inverse as a polynomial in a.
 Exhaustive search works on any enumerable finite ring and doubles as an
-independent oracle where both apply.  rings.uses_elimination alone chooses
-the engine for a ring.  Every certificate is re-verified against the
-defining equations before it is returned; a verification failure raises
-CertificationError because it can only mean a bug.
+independent oracle where both apply.  The ring alone picks the engine
+(rings.uses_elimination): the element budget only gates a search, and a
+search over it raises BudgetExceeded.  Every certificate is re-verified
+against the defining equations before it is returned; a verification
+failure raises CertificationError because it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import BudgetExceeded, CertificationError, ContextMismatch
+from .errors import CertificationError, ContextMismatch
 from .rings import (
     NilpotencyWitness,
     RingElem,
@@ -25,22 +26,10 @@ from .rings import (
     is_quasinilpotent,
     nilpotency,
     require_budget,
-    uses_elimination,
 )
 
 DRAZIN = "drazin"
 GDRAZIN = "gdrazin"
-
-
-@dataclass(frozen=True)
-class IndexProfile:
-    """Ranks of successive powers of a matrix, through first stabilization.
-
-    ranks[k] = rank(a^k); index is the first k with ranks[k] == ranks[k+1].
-    """
-
-    ranks: tuple[int, ...]
-    index: int
 
 
 @dataclass(frozen=True)
@@ -69,24 +58,6 @@ def _field(a: RingElem, caller: str):
     if dom is None or not dom.is_field:
         raise ContextMismatch(f"{caller} needs a matrix over a field, not {a.ctx.label}")
     return dom
-
-
-def _rank_profile(a: RingElem) -> list[int]:
-    """Ranks of a^0, a^1, ... through first stabilization."""
-    dom = a.ctx.domain
-    ranks = [len(a.payload)]
-    p = a
-    while True:
-        ranks.append(linalg.rank(dom, p.payload))
-        if ranks[-1] == ranks[-2]:
-            return ranks
-        p = p * a
-
-
-def index_profile(a: RingElem) -> IndexProfile:
-    _field(a, "index_profile")
-    ranks = _rank_profile(a)
-    return IndexProfile(tuple(ranks), len(ranks) - 2)
 
 
 def _vector(m: RingElem, tail: list) -> list:
@@ -157,9 +128,7 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
             raise CertificationError("a^(k+1) b = a^k failed")
         core_witness = witness
     else:
-        # elimination rings are matrices over a field, where quasinilpotent
-        # means nilpotent; enumerated rings decide the quantifier itself
-        core_qnil = witness.is_nilpotent if uses_elimination(ctx) else is_quasinilpotent(core)
+        core_qnil = is_quasinilpotent(core)
         if not core_qnil:
             raise CertificationError("gdrazin core is not quasinilpotent")
     return DrazinCertificate(
@@ -242,26 +211,21 @@ def drazin_finite_ring(a: RingElem):
 
 
 def gdrazin_finite_ring(a: RingElem):
-    """Same search with quasinilpotency (decided by enumeration) in place of
-    nilpotency for the core part."""
+    """Same search with quasinilpotency (rings.is_quasinilpotent) in place
+    of nilpotency for the core part."""
     return _finite_ring_search(a, GDRAZIN)
 
 
 def _dispatch(a: RingElem, mode: str):
-    """The certificate of a from the engine uses_elimination picks.
+    """The certificate of a from its ring's engine (rings.uses_elimination).
 
-    A finite ring goes straight to its memoized search, whose budget check
-    is the only one a lookup makes.  Only when that check fails, and
-    uses_elimination agrees (M_m(Z/p) over the budget), does drazin_matrix
-    answer instead; M_n(Q) always goes to it.
+    An eliminated ring goes to drazin_matrix.  An enumerated ring goes to
+    its memoized search, whose budget check is the only one a lookup
+    makes; over the budget it raises BudgetExceeded.
     """
-    if a.ctx.is_finite_ring:
-        try:
-            return drazin_finite_ring(a) if mode == DRAZIN else gdrazin_finite_ring(a)
-        except BudgetExceeded:
-            if not uses_elimination(a.ctx):
-                raise
-    return drazin_matrix(a, mode)
+    if a.ctx.eliminated:
+        return drazin_matrix(a, mode)
+    return drazin_finite_ring(a) if mode == DRAZIN else gdrazin_finite_ring(a)
 
 
 def drazin_certificate(a: RingElem):
@@ -270,7 +234,7 @@ def drazin_certificate(a: RingElem):
 
 
 def gdrazin_certificate(a: RingElem):
-    """g-Drazin inverse; finite rings go through the enumerated
+    """g-Drazin inverse; enumerated rings go through the enumerated
     quasinilpotency predicate so the generalized notion is tested in its
     own terms rather than collapsed to nilpotency up front."""
     return _dispatch(a, GDRAZIN)

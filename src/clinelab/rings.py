@@ -7,11 +7,13 @@ Three ring families are supported, one context type each:
 * M_m(Z/n), square matrices over Z/n (MatrixRingContext).
 
 Z/n and M_m(Z/n) are finite and enumerable.  Questions that quantify over
-a ring (Drazin inverses, commutants) have two engines: elimination, which
-works on any matrix over a field, and exhaustive enumeration of a finite
-ring.  uses_elimination is the one rule that chooses between them: M_n(Q)
-is always eliminated, M_m(Z/p) with p prime is eliminated when its element
-count is over the budget, and every other ring is enumerated.
+a ring (Drazin inverses, quasinilpotency) have two engines: elimination,
+which works on any matrix over a field, and exhaustive enumeration of a
+finite ring.  Each context fixes its engine when it is built, and
+uses_elimination reads it: indexed rings and rings over a non-field are
+enumerated, every other matrix ring over a field (M_n(Q), and M_m(Z/p) over
+INDEX_CAP elements) is eliminated.  The element budget never switches the
+engine; it only gates enumeration, by raising BudgetExceeded.
 
 Elements are immutable and hashable; arithmetic always returns canonical
 payloads, so structural equality coincides with ring equality.
@@ -183,6 +185,7 @@ class RingContext:
 
     is_finite_ring = False
     domain = None  # the entry domain of a matrix ring; None for Z/n
+    eliminated = False  # the engine, fixed when the ring is built (uses_elimination)
     label = "?"
 
     def __init__(self):
@@ -291,6 +294,7 @@ class MatrixContext(_MatrixPayloads, RingContext):
     """n-by-n matrices over the rationals (size is n)."""
 
     domain = QQ
+    eliminated = True
 
     def __init__(self, n: int):
         super().__init__()
@@ -404,7 +408,26 @@ class FiniteRingContext(RingContext):
         return RingElem(self, self._payload_at(i))
 
 
-class ZModContext(FiniteRingContext):
+class _ResidueIndex:
+    """Index arithmetic of a one-digit ring, Z/n or M_1(Z/n): an element's
+    index is its residue mod n, so products, sums and negations are
+    residue arithmetic on indices, and the ring is commutative, so every
+    commuting mask is full."""
+
+    def _product(self, i, j):
+        return self._elems[i * j % self.n]
+
+    def _sum(self, i, j):
+        return self._elems[(i + j) % self.n]
+
+    def _negation(self, i):
+        return self._elems[-i % self.n]
+
+    def _commuting_mask(self, i):
+        return (1 << self.n) - 1
+
+
+class ZModContext(_ResidueIndex, FiniteRingContext):
     """The ring of integers modulo n; payloads are ints in [0, n), and an
     element's index is its payload."""
 
@@ -437,18 +460,6 @@ class ZModContext(FiniteRingContext):
     def _mul(self, x, y):
         return (x * y) % self.n
 
-    def _product(self, i, j):
-        return self._elems[(i * j) % self.n]
-
-    def _sum(self, i, j):
-        return self._elems[(i + j) % self.n]
-
-    def _negation(self, i):
-        return self._elems[-i % self.n]
-
-    def _commuting_mask(self, i):
-        return (1 << self.n) - 1  # Z/n is commutative
-
     def _zero_payload(self):
         return 0
 
@@ -470,7 +481,9 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     cell i*N + j holding index(x_i*x_j), built on the first product or
     mask; its commuting masks compare row i of the table with column i.
     Sums and negations are sparse, so their tables (N-by-N and N cells of
-    -1) fill in as results are first asked for.
+    -1) fill in as results are first asked for.  M_1(Z/n) builds none of
+    these: its one entry is its index, so it takes the residue index
+    arithmetic of Z/n (_ResidueIndex).
 
     The product table is built a row at a time, with no payload product.
     Column c of x*y is x times column c of y and fills only the digits
@@ -481,6 +494,9 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     one entry of the row at a time.
     """
 
+    def __new__(cls, n: int, size: int):
+        return super().__new__(_ScalarMatrixRing if size == 1 else cls)
+
     def __init__(self, n: int, size: int):
         if n < 2:
             raise InputError("modulus must be >= 2")
@@ -489,6 +505,7 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         super().__init__(n, size * size)
         self.size = size
         self.domain = ModularDomain(n)
+        self.eliminated = self.domain.is_field and not self.indexed
         self.label = f"M{size}(Z/{n})"
         self._products: array | None = None
         self._sums: array | None = None
@@ -579,6 +596,10 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         return linalg.mat_unflatten(digits, self.size, self.size)
 
 
+class _ScalarMatrixRing(_ResidueIndex, MatrixRingContext):
+    """M_1(Z/n), which MatrixRingContext(n, 1) builds."""
+
+
 @lru_cache(maxsize=None)
 def rationals_matrix(n: int) -> MatrixContext:
     """Context of n-by-n matrices over the rationals."""
@@ -604,9 +625,10 @@ def require_budget(
     """Raise BudgetExceeded when |ctx|**power exceeds the active budget.
 
     Every count checked against CLINE_LAB_BUDGET goes through here: the
-    elements a finite-ring enumeration visits, the triples of an exhaustive
-    sweep (power 3, default DEFAULT_TRIPLE_BUDGET), and uses_elimination.
-    A count far over the budget is neither built nor printed in full.
+    elements a finite-ring enumeration visits and the triples of an
+    exhaustive sweep (power 3, default DEFAULT_TRIPLE_BUDGET).  It gates
+    enumeration only; no engine choice reads it.  A count far over the
+    budget is neither built nor printed in full.
     """
     limit = enumeration_budget(default)
     n, exp = ctx.n, ctx.digits * power
@@ -619,20 +641,14 @@ def require_budget(
 def uses_elimination(ctx: RingContext) -> bool:
     """The engine rule: elimination (True) or enumeration (False) for ctx.
 
-    Elimination needs a matrix over a field and enumeration a finite ring
-    within the element budget.  So M_n(Q) is always eliminated, M_m(Z/p)
-    with p prime is eliminated exactly when it is over the budget, and Z/n
-    and M_m(Z/n) with n composite are always enumerated.
+    Elimination needs a matrix over a field; enumeration needs a finite
+    ring, and is kept wherever the ring is indexed, where it is the
+    oracle the elimination engine is diffed against.  So Z/n, M_m(Z/n)
+    with n composite and indexed M_m(Z/p) are enumerated, and M_n(Q) and
+    M_m(Z/p) over INDEX_CAP elements are eliminated.  The answer is fixed
+    when the ring is built and does not depend on the element budget.
     """
-    if ctx.domain is None or not ctx.domain.is_field:
-        return False
-    if not ctx.is_finite_ring:
-        return True
-    try:
-        require_budget(ctx)
-    except BudgetExceeded:
-        return True
-    return False
+    return ctx.eliminated
 
 
 def _det(x: RingElem) -> int:
@@ -750,11 +766,13 @@ def in_double_commutant(b: RingElem, a: RingElem) -> bool:
 def is_quasinilpotent(x: RingElem) -> bool:
     """Whether 1 + yx is a unit for every y commuting with x.
 
-    Finite rings decide the quantifier by enumeration; over Q it is
-    equivalent to nilpotency and answered that way.
+    Enumerated rings decide the quantifier over the commutant.  On an
+    eliminated ring, a matrix ring over a field, quasinilpotent means
+    nilpotent (Koliha, Glasgow Math. J. 38, 1996), and it is answered that
+    way, with no enumeration and no budget check.
     """
     ctx = x.ctx
-    if not ctx.is_finite_ring:
+    if ctx.eliminated:
         return nilpotency(x).is_nilpotent
     require_budget(ctx)
 

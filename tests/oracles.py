@@ -2,11 +2,13 @@
 
 The library row-reduces by a fraction-free row step, decides
 double-commutant membership over Q by a polynomial witness, reads the
-Drazin inverse off the minimal polynomial, numbers finite-ring elements
-through their index, bounds nilpotency tests by the index bound, and
-sweeps by hypothesis class with each check run once per distinct input;
-these helpers recompute each by another route.
+Drazin inverse and its index off the minimal polynomial, numbers
+finite-ring elements through their index, bounds nilpotency tests by the
+index bound, and sweeps by hypothesis class with each check run once per
+distinct input; these helpers recompute each by another route.
 """
+
+from dataclasses import dataclass
 
 from clinelab import explorer, linalg
 from clinelab.cline import check_hypothesis
@@ -164,6 +166,37 @@ def drazin_by_inner_inverse(a: RingElem) -> RingElem:
         k += 1
     g = a.ctx.elem(inner_inverse(dom, (a ** (2 * k + 1)).payload))
     return a**k * g * a**k
+
+
+@dataclass(frozen=True)
+class IndexProfile:
+    """Ranks of successive powers of a matrix, through first stabilization.
+
+    ranks[k] = rank(a^k); index is the first k with ranks[k] == ranks[k+1].
+    """
+
+    ranks: tuple[int, ...]
+    index: int
+
+
+def rank_profile(a: RingElem) -> list[int]:
+    """Ranks of a^0, a^1, ... through first stabilization (a matrix over a
+    field)."""
+    dom = a.ctx.domain
+    ranks = [len(a.payload)]
+    p = a
+    while True:
+        ranks.append(linalg.rank(dom, p.payload))
+        if ranks[-1] == ranks[-2]:
+            return ranks
+        p = p * a
+
+
+def index_profile(a: RingElem) -> IndexProfile:
+    """The index of a as the first k where the ranks of the powers of a
+    stop falling; the library reads it off the minimal polynomial."""
+    ranks = rank_profile(a)
+    return IndexProfile(tuple(ranks), len(ranks) - 2)
 
 
 def in_krylov_span(b: RingElem, a: RingElem) -> bool:

@@ -155,6 +155,20 @@ def test_drazin_compute_gdrazin_mode(tmp_path, capsys):
     assert data["witnesses"]["core_quasinilpotent"] is True
 
 
+def test_drazin_compute_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # M_2(Z/2) is enumerated at any budget: a budget below its 16 elements
+    # refuses the search and never falls back to elimination over F_2
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    path = _write(
+        tmp_path,
+        "elem.json",
+        {"ring": {"type": "MatZmod", "n": 2, "size": 2}, "entries": [[1, 1], [0, 0]]},
+    )
+    code, out, err = _run(capsys, ["drazin", "compute", "--input", path])
+    assert code == 2 and out == ""
+    assert "M2(Z/2) has 16 elements, over the budget 10" in err
+
+
 def test_drazin_compute_missing_inverse_exit_code(tmp_path, capsys, monkeypatch):
     # no element of the supported rings actually lacks a Drazin inverse,
     # so the exit-3 contract is exercised by stubbing the engine

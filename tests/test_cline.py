@@ -269,9 +269,9 @@ def test_certify_inverse_refuses_any_inverse_when_the_search_finds_none(monkeypa
                 _certify_inverse(x, v, mode)
 
 
-def test_certify_inverse_accepts_only_the_eliminated_inverse(monkeypatch):
-    # elimination certifies by the same rule: M_3(Q), and M_2(Z/3) under a
-    # budget below its 81 elements
+def test_certify_inverse_accepts_only_the_eliminated_inverse():
+    # elimination certifies by the same rule: M_3(Q), and M_2(Z/7), whose
+    # 2,401 elements are over INDEX_CAP
     m3q = rationals_matrix(3)
     xs = [
         m3q.elem(rows)
@@ -282,9 +282,10 @@ def test_certify_inverse_accepts_only_the_eliminated_inverse(monkeypatch):
             [[1, 2, 3], [2, 4, 6], [-1, -2, -3]],
         )
     ]
-    xs += matrix_ring(3, 2).elements()[::4]
-    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
+    m2z7 = matrix_ring(7, 2)
+    xs += [m2z7.element_by_index(i) for i in range(0, 2401, 97)]
     for x in xs:
+        assert rings.uses_elimination(x.ctx)
         for mode in ("drazin", "gdrazin"):
             inverse = drazin.drazin_matrix(x, mode).inverse
             cert = _certify_inverse(x, inverse, mode)
@@ -296,29 +297,34 @@ def test_certify_inverse_accepts_only_the_eliminated_inverse(monkeypatch):
 
 
 def test_transfers_under_a_lowered_budget(monkeypatch):
-    # M_2(Z/2) then certifies transferred inverses by elimination, with the
-    # searched JSON; M_2(Z/4) cannot be certified at all
+    # a budget of 10 gates the transfers of the enumerated rings, M_2(Z/2)
+    # over F_2 as much as M_2(Z/4), and leaves the eliminated M_2(Z/7) as
+    # it was
     m2z2 = _hypothesis_triples(matrix_ring(2, 2))[::97]
     m2z4 = [(x, x, x) for x in matrix_ring(4, 2).elements()[::51]]
+    m2z7 = [(x, x, x) for x in map(matrix_ring(7, 2).element_by_index, range(0, 2401, 201))]
 
-    def transfers():
+    def transfers(triples):
         return [
             dumps_canonical([certificate_to_json(r.source), certificate_to_json(r.target)])
-            for a, b, c in m2z2
+            for a, b, c in triples
             for transfer in (cline_drazin, cline_gdrazin)
             for r in (transfer(a, b, c, "forward"), transfer(a, b, c, "backward"))
         ]
 
-    searched = transfers()
+    transfers(m2z2)  # cached searches stay gated
+    eliminated = transfers(m2z7)
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
-    assert transfers() == searched
-    for a, b, c in m2z4:
-        with pytest.raises(BudgetExceeded):
-            cline_gdrazin(a, b, c)
+    assert transfers(m2z7) == eliminated
+    for a, b, c in m2z2 + m2z4:
+        for transfer in (cline_drazin, cline_gdrazin):
+            with pytest.raises(BudgetExceeded):
+                transfer(a, b, c)
 
 
 def test_all_checks_sweep_of_m2z2_reads_the_budget_once_per_lookup(monkeypatch):
-    # 69,547 reads before a lookup made one; a fresh context, so cached
+    # 69,547 reads before a lookup made one, 9,439 while a g-Drazin
+    # certificate also asked the engine rule; a fresh context, so cached
     # searches from other tests do not lower the count
     reads = [0]
     real = rings.enumeration_budget
@@ -330,7 +336,7 @@ def test_all_checks_sweep_of_m2z2_reads_the_budget_once_per_lookup(monkeypatch):
     monkeypatch.setattr(rings, "enumeration_budget", counting)
     report = sweep(rings.MatrixRingContext(2, 2))
     assert report.triples_hypothesis == 1540
-    assert reads[0] <= 33_307
+    assert reads[0] <= 9_423
 
 
 def test_nilpotency_transfer_on_separation_triple():

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import drazin_by_inner_inverse, in_double_commutant_by_basis
+from oracles import (
+    drazin_by_inner_inverse,
+    in_double_commutant_by_basis,
+    index_profile,
+    rank_profile,
+)
 
 from clinelab import (
     BudgetExceeded,
@@ -16,13 +21,13 @@ from clinelab import (
     gdrazin_finite_ring,
     group_inverse,
     in_double_commutant,
-    index_profile,
     is_polynomial_in,
     is_quasinilpotent,
     matrix_ring,
     nilpotency,
     example_29_triple,
     rationals_matrix,
+    uses_elimination,
     zmod,
 )
 from clinelab.serialize import certificate_to_json, dumps_canonical
@@ -98,13 +103,11 @@ def test_matrix_certificates_close_defining_equations(rows):
 
 
 def test_rank_profile_builds_each_power_once():
-    from clinelab.drazin import _rank_profile
-
     # index 3: a 3x3 nilpotent Jordan block beside an invertible 1x1 block
     a = rationals_matrix(4).elem(
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 5]]
     )
-    ranks = _rank_profile(a)
+    ranks = rank_profile(a)
     assert ranks == [4, 3, 2, 1, 1]
     assert index_profile(a).ranks == tuple(ranks)
     assert drazin_matrix(a).index == index_profile(a).index == 3
@@ -246,50 +249,64 @@ def test_memoized_searches_keep_the_budget_gate(monkeypatch):
         assert gdrazin_finite_ring(x) is first[1]
 
 
-def test_certificate_json_is_the_same_from_both_engines(monkeypatch):
-    # M_2(Z/3) has 81 elements and M_2(Z/5) 625: the default budget searches
-    # each exhaustively, a budget one below sends it to elimination over F_p
-    # (uses_elimination)
+def test_certificate_json_is_the_same_from_both_engines():
+    # M_2(Z/3) has 81 elements and M_2(Z/5) 625: both are indexed, so
+    # searched, and drazin_matrix eliminates over F_p on the same elements
     for p, count in ((3, 81), (5, 625)):
         ring = matrix_ring(p, 2)
-
-        def certificates():
-            return [
-                dumps_canonical(certificate_to_json(compute(e)))
-                for e in ring.elements()
-                for compute in (drazin_certificate, gdrazin_certificate)
-            ]
-
-        searched = certificates()
-        monkeypatch.setenv("CLINE_LAB_BUDGET", str(count - 1))
-        with pytest.raises(BudgetExceeded):
-            drazin_finite_ring(ring.one())
-        assert certificates() == searched
-        assert len(searched) == 2 * count
-        monkeypatch.delenv("CLINE_LAB_BUDGET")
+        assert not uses_elimination(ring)
+        for e in ring.elements():
+            for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
+                assert dumps_canonical(certificate_to_json(drazin_matrix(e, mode))) == (
+                    dumps_canonical(certificate_to_json(search(e)))
+                )
+        assert len(ring.elements()) == count
 
 
 def test_lowered_budget_gates_enumerated_lookups_and_eliminates_prime_rings(monkeypatch):
-    # under a budget of 10 neither ring may be searched: M_2(Z/4) has no
-    # elimination engine, M_2(Z/2) falls back to elimination over F_2
-    m2z4 = list(matrix_ring(4, 2).elements())
+    # under a budget of 10 neither indexed ring may be searched, M_2(Z/2)
+    # over F_2 as much as M_2(Z/4); M_2(Z/7), over INDEX_CAP, is eliminated
+    # at any budget
+    ring = matrix_ring(7, 2)
+    m2z7 = [ring.element_by_index(i) for i in range(0, 2401, 101)]
     computes = (drazin_certificate, gdrazin_certificate)
 
     def certificates():
         return [
             dumps_canonical(certificate_to_json(compute(x)))
-            for x in M2Z2.elements()
+            for x in m2z7
             for compute in computes
         ]
 
-    searched = certificates()
+    eliminated = certificates()
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
-    for x in m2z4:
+    for x in M2Z2.elements() + matrix_ring(4, 2).elements():
         for compute in computes:
             with pytest.raises(BudgetExceeded):
                 compute(x)
-    assert certificates() == searched
-    assert len(searched) == 32
+    assert certificates() == eliminated
+    assert len(eliminated) == 48
+
+
+def test_eliminated_lookups_never_enumerate(monkeypatch):
+    # M_2(Z/7) is eliminated: its certificates and quasinilpotency flags
+    # come from elimination and nilpotency, never from a ring scan
+    from clinelab import drazin, rings
+
+    def no_scan(*args):
+        raise AssertionError("ring scan on an eliminated ring")
+
+    monkeypatch.setattr(drazin, "_finite_ring_search", no_scan)
+    monkeypatch.setattr(drazin, "commutant", no_scan)
+    monkeypatch.setattr(rings, "commutant", no_scan)
+    ring = matrix_ring(7, 2)
+    for i in range(0, 2401, 37):
+        x = ring.element_by_index(i)
+        for compute in (drazin_certificate, gdrazin_certificate):
+            cert = compute(x)
+            assert cert.core_quasinilpotent in (None, True)
+            _check_defining_equations(cert)
+        assert is_quasinilpotent(x) == nilpotency(x).is_nilpotent
 
 
 # --- group inverse -----------------------------------------------------------

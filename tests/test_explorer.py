@@ -173,6 +173,17 @@ def test_mat2z3_all_checks_sweep_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_mat4z2_sample_sweep_stdout_is_pinned(capsys):
+    # recorded while M_4(Z/2), over INDEX_CAP and under the element budget,
+    # was enumerated by payload scans (40 s); it is eliminated now
+    from clinelab import cli
+
+    argv = ["explore", "sweep", "--ring", "mat4z2", "--mode", "sample"]
+    assert cli.main(argv + ["--seed", "7", "--count", "200"]) == 0
+    digest = "106476d72cf06d97de6550d66d400a16f72b98dda1a93b7dd4601299c4287d5e"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # --- the class walk and the check memo against the per-triple oracle ---------
 
 
@@ -364,27 +375,29 @@ def _example_29_triple_index():
 
 
 def test_checks_run_on_ring_beyond_element_budget():
-    # 6x6 matrices over Z/2 (2^36 elements): Drazin checks route through
-    # the elimination engine, so everything except the enumerated
-    # quasinilpotency predicate still runs on a hypothesis triple
+    # 6x6 matrices over Z/2 (2^36 elements) are eliminated: the Drazin and
+    # g-Drazin checks route through elimination and quasinilpotency is
+    # answered as nilpotency, so they all run on a hypothesis triple
     from clinelab.explorer import _scan_indices
 
     big = matrix_ring(2, 6)
-    part = _scan_indices(big, [_example_29_triple_index()], ("l26", "l31", "t27"))
+    checks = ("t22", "t27", "l21", "l26", "l31")
+    part = _scan_indices(big, [_example_29_triple_index()], checks)
     assert part["violation"] is None
     assert part["hypothesis"] == 1 and part["strong"] == 0
-    for name in ("l26", "l31", "t27"):
+    for name in checks:
         assert part["counters"][name] == {"checked": 1, "passed": 1}
 
 
-def test_budget_error_propagates_instead_of_masquerading_as_violation():
-    # the quasinilpotency check needs commutant enumeration, impossible at
-    # 2^36 elements; that must surface as BudgetExceeded, not as a violation
+def test_budget_error_propagates_instead_of_masquerading_as_violation(monkeypatch):
+    # the quasinilpotency check enumerates the commutant of M_2(Z/4), which
+    # a budget of 10 forbids; that must surface as BudgetExceeded, not as a
+    # violation, on the hypothesis triple (0, 0, 0)
     from clinelab.explorer import _scan_indices
 
-    big = matrix_ring(2, 6)
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        _scan_indices(big, [_example_29_triple_index()], ("l21",))
+        _scan_indices(matrix_ring(4, 2), [0], ("l21",))
 
 
 def test_violation_aborts_with_serialized_triple(monkeypatch):

@@ -12,6 +12,7 @@ from oracles import (
     commutant_basis,
     in_double_commutant_by_basis,
     index_by_digits,
+    index_profile,
     nilpotency_by_repeat,
 )
 
@@ -313,8 +314,6 @@ def test_nilpotency_reaches_the_index_bound(x, index):
     )
 )
 def test_matrix_nilpotency_index_bounded_by_size(rows):
-    from clinelab import index_profile
-
     m = rationals_matrix(3).elem(rows)
     w = nilpotency(m)
     if w.is_nilpotent:
@@ -579,6 +578,25 @@ def test_zmod_commuting_masks_are_full():
         assert commutant(x) == ring.elements()
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_one_by_one_matrix_rings_use_residue_index_arithmetic(n):
+    # M_1(Z/n) numbers each element by its one entry, as Z/n does, so its
+    # index arithmetic is residue arithmetic and builds no product table
+    from clinelab.rings import MatrixRingContext
+
+    ring = MatrixRingContext(n, 1)  # a fresh context: nothing is cached yet
+    els, pos = ring.elements(), ring._pos
+    assert [x.payload for x in els] == [((k,),) for k in range(n)]
+    for x in els:
+        assert (-x).payload == ring._neg(x.payload)
+        assert ring._commuting_mask(x.idx) == 2**n - 1
+        for y in els:
+            assert (x * y).idx == pos[ring._mul(x.payload, y.payload)]
+            assert (x + y).idx == pos[ring._add(x.payload, y.payload)]
+    assert commutant(els[3]) == els
+    assert ring._products is None
+
+
 def test_unit_test_and_inverse_share_one_determinant(monkeypatch):
     from clinelab import linalg
     from clinelab.rings import MatrixRingContext
@@ -632,18 +650,18 @@ def test_double_commutant_keeps_the_budget_gate_after_masks_are_cached(monkeypat
 
 
 def test_uses_elimination_on_each_ring_family(monkeypatch):
-    assert uses_elimination(M2Q)
-    assert not uses_elimination(Z8)
-    # Z/4 is not a field, so M_2(Z/4) is enumerated at any budget
-    assert not uses_elimination(matrix_ring(4, 2))
-    assert uses_elimination(matrix_ring(2, 6))  # 2^36 elements
-    m2z3 = matrix_ring(3, 2)  # 81 elements
-    assert not uses_elimination(m2z3)
-    monkeypatch.setenv("CLINE_LAB_BUDGET", "80")
-    assert uses_elimination(m2z3)
-    assert not uses_elimination(matrix_ring(4, 2))
-    monkeypatch.setenv("CLINE_LAB_BUDGET", "81")
-    assert not uses_elimination(m2z3)
+    # the ring alone picks its engine, at any budget: indexed rings and
+    # rings over a non-field are enumerated, other matrix rings over a
+    # field eliminated
+    enumerated = [Z8, zmod(7), M2Z2, matrix_ring(3, 2), matrix_ring(5, 2), matrix_ring(2, 3)]
+    enumerated += [matrix_ring(4, 2), matrix_ring(4, 3), matrix_ring(6, 2)]
+    eliminated = [M2Q, rationals_matrix(5), matrix_ring(7, 2), matrix_ring(3, 3)]
+    eliminated += [matrix_ring(2, m) for m in (4, 5, 6)]
+    for budget in (None, "10", "80", "81", "2401", str(2**40)):
+        if budget is not None:
+            monkeypatch.setenv("CLINE_LAB_BUDGET", budget)
+        assert [uses_elimination(ring) for ring in enumerated] == [False] * len(enumerated)
+        assert [uses_elimination(ring) for ring in eliminated] == [True] * len(eliminated)
 
 
 def test_huge_rings_are_built_and_gated_without_their_counts():
