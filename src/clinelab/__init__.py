@@ -44,6 +44,7 @@ from .errors import (
     MissingInverse,
     ReadingValidationError,
     SweepViolation,
+    WorkerFailure,
 )
 from .explorer import (
     Example29Report,

@@ -239,13 +239,23 @@ def special_case_formula(a, b, c) -> bool:
     """Under the stronger aba = aca, verify (ba)^d c = b (ac)^d exactly."""
     if not check_hypothesis(a, b, c).strong_holds:
         raise HypothesisViolation("special case needs aba = aca")
-    cert_ba = gdrazin_certificate(b * a)
-    cert_ac = gdrazin_certificate(a * c)
+    _special_case_holds(b, c, *_special_case_inverses(b * a, a * c))
+    return True
+
+
+def _special_case_inverses(ba: RingElem, ac: RingElem) -> tuple[RingElem, RingElem]:
+    """(ba)^d and (ac)^d, the g-Drazin inverses the special case reads."""
+    cert_ba = gdrazin_certificate(ba)
+    cert_ac = gdrazin_certificate(ac)
     if cert_ba is None or cert_ac is None:
         raise MissingInverse("both g-Drazin inverses must exist")
-    if cert_ba.inverse * c != b * cert_ac.inverse:
+    return cert_ba.inverse, cert_ac.inverse
+
+
+def _special_case_holds(b: RingElem, c: RingElem, ba_d: RingElem, ac_d: RingElem) -> None:
+    """The special case's identity (ba)^d c = b (ac)^d, from the inverses."""
+    if ba_d * c != b * ac_d:
         raise CertificationError("(ba)^d c = b (ac)^d failed")
-    return True
 
 
 def power_transfer(a, b, c, k: int):

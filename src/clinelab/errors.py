@@ -38,6 +38,12 @@ class InputError(ClineLabError):
     """Malformed user input (JSON literals, CLI arguments, shapes)."""
 
 
+class WorkerFailure(ClineLabError):
+    """A parallel sweep's worker process died, or raised an exception from
+    outside this hierarchy; the message is one line, and the original
+    exception is chained as the cause."""
+
+
 class SweepViolation(ClineLabError):
     """A sweep hit a triple violating a selected identity.  Carries the
     offending triple (serialized) and the failing check's name; a single

@@ -17,15 +17,17 @@ import random
 import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from operator import attrgetter
 
 from .cline import (
     BACKWARD,
     FORWARD,
     HypothesisReport,
     _remember_hypothesis,
+    _special_case_holds,
+    _special_case_inverses,
     check_hypothesis,
     cline_drazin,
     cline_gdrazin,
@@ -34,23 +36,25 @@ from .cline import (
     nilpotency_transfer,
     power_transfer,
     qnil_transfer,
-    special_case_formula,
     units_transfer,
 )
 from .drazin import drazin_certificate, gdrazin_certificate, group_inverse
 from .errors import (
     BudgetExceeded,
     CertificationError,
+    ClineLabError,
     ContextMismatch,
     InputError,
     MissingInverse,
     ReadingValidationError,
     SweepViolation,
+    WorkerFailure,
 )
 from .rings import (
     DEFAULT_TRIPLE_BUDGET,
     RingContext,
     _power_at_most,
+    budget_block,
     enumeration_budget,
     is_unit,
     matrix_ring,
@@ -79,36 +83,40 @@ SAMPLE_SPACE_CAP = 2**2**16  # sampled sweeps draw from at most this many triple
 #           read only a, ab and ac; the group-inverse formula from ac.
 #   A_C_BA  (a, c, ba): the forward transfers and the group-inverse formula
 #           from ba.
-#   AC_BA   (ac, ba): the quasinilpotency and nilpotency transfers and the
-#           agreement of the Drazin and g-Drazin inverses of ac and of ba.
+#   AC_BA   (ac, ba): the quasinilpotency and nilpotency transfers, the
+#           agreement of the Drazin and g-Drazin inverses of ac and of ba,
+#           and the g-Drazin inverses of ba and ac that c24 compares.
 #   TRIPLE  (a, b, c): the special-case formula (ba)^d c = b (ac)^d.
 #
-# Each part returns True when it did substantive work.
+# Each part is called as part(a, b, c, held) and returns True when it did
+# substantive work.  held is the state a scan keeps for the triple's
+# (ac, ba) key: its AC_BA parts may store there what the TRIPLE parts of
+# every triple with that key read.
 
 AB_AC, A_C_BA, AC_BA, TRIPLE = range(4)
 
 
-def _gdrazin_backward(a, b, c) -> bool:
+def _gdrazin_backward(a, b, c, held) -> bool:
     cline_gdrazin(a, b, c, BACKWARD)
     return True
 
 
-def _gdrazin_forward(a, b, c) -> bool:
+def _gdrazin_forward(a, b, c, held) -> bool:
     cline_gdrazin(a, b, c, FORWARD)
     return True
 
 
-def _drazin_backward(a, b, c) -> bool:
+def _drazin_backward(a, b, c, held) -> bool:
     cline_drazin(a, b, c, BACKWARD)
     return True
 
 
-def _drazin_forward(a, b, c) -> bool:
+def _drazin_forward(a, b, c, held) -> bool:
     cline_drazin(a, b, c, FORWARD)
     return True
 
 
-def _drazin_agreement(a, b, c) -> bool:
+def _drazin_agreement(a, b, c, held) -> bool:
     for x in (a * c, b * a):
         cd = drazin_certificate(x)
         cg = gdrazin_certificate(x)
@@ -119,17 +127,17 @@ def _drazin_agreement(a, b, c) -> bool:
     return True
 
 
-def _l21(a, b, c) -> bool:
+def _l21(a, b, c, held) -> bool:
     qnil_transfer(a, b, c)
     return True
 
 
-def _l26(a, b, c) -> bool:
+def _l26(a, b, c, held) -> bool:
     nilpotency_transfer(a, b, c)
     return True
 
 
-def _l31(a, b, c) -> bool:
+def _l31(a, b, c, held) -> bool:
     u_ac, _ = units_transfer(a, b, c)
     if u_ac:
         s = try_inverse(a.ctx.one() - a * c)
@@ -137,15 +145,22 @@ def _l31(a, b, c) -> bool:
     return True
 
 
-def _c23(a, b, c) -> bool:
+def _c23(a, b, c, held) -> bool:
     power_transfer(a, b, c, 2)
     return True
 
 
-def _c24(a, b, c) -> bool:
+def _c24_inverses(a, b, c, held) -> bool:
+    """Keep (ba)^d and (ac)^d for the comparisons of the key's triples; c24
+    counts only the strong triples it compares, so this returns False."""
+    held["c24"] = _special_case_inverses(b * a, a * c)
+    return False
+
+
+def _c24(a, b, c, held) -> bool:
     if not check_hypothesis(a, b, c).strong_holds:
         return False
-    special_case_formula(a, b, c)
+    _special_case_holds(b, c, *held["c24"])
     return True
 
 
@@ -160,11 +175,11 @@ def _group_formula(x, y, left, right) -> bool:
     return True
 
 
-def _c28_from_ac(a, b, c) -> bool:
+def _c28_from_ac(a, b, c, held) -> bool:
     return _group_formula(a * c, b * a, b, a)
 
 
-def _c28_from_ba(a, b, c) -> bool:
+def _c28_from_ba(a, b, c, held) -> bool:
     return _group_formula(b * a, a * c, a, c)
 
 
@@ -175,7 +190,7 @@ _CHECKS = {
     "l26": ((AC_BA, _l26),),
     "l31": ((AB_AC, _l31),),
     "c23": ((AB_AC, _c23),),
-    "c24": ((TRIPLE, _c24),),
+    "c24": ((AC_BA, _c24_inverses), (TRIPLE, _c24)),
     "c28": ((AB_AC, _c28_from_ac), (A_C_BA, _c28_from_ba)),
 }
 
@@ -320,68 +335,108 @@ def _hypothesis_triples(ctx, indices):
             yield idx, a, b, c, report
 
 
+def _run_parts(parts, a, b, c, held) -> int:
+    """Run (name, bit, part) entries on a triple, in order; the bits of the
+    checks that did substantive work.  A failing part raises SweepViolation
+    naming its check and the triple."""
+    mask = 0
+    for name, bit, part in parts:
+        try:
+            if part(a, b, c, held):
+                mask |= bit
+        except (CertificationError, MissingInverse) as exc:
+            raise SweepViolation(name, triple_to_json(a, b, c), str(exc))
+    return mask
+
+
 def _scan_indices(ctx, indices, selected):
     """Run the selected checks on the hypothesis triples among the sorted
     triple indices; returns partial tallies.
 
-    Each check part runs once per distinct key of its family (see
-    _CHECKS), keyed on element indices (payloads on a ring too large to
-    index); checked and passed still count triples.  Index order puts a
-    outermost, so the memos whose keys hold a are emptied when it changes
-    and each memo holds at most |R|^2 keys.  Stops at the first violation,
-    reporting it with the offending triple.
+    Each key family (see _CHECKS) has one memo.  On the first triple with a
+    new key, the family's parts of every selected check run together, in
+    check order, and the memo keeps the bitmask of the checks that did
+    work; TRIPLE parts run on every triple.  The families run in the order
+    AC_BA, AB_AC, A_C_BA, TRIPLE, so the held state of a new (ac, ba) key
+    exists before any part reads it.  A triple's mask is the OR of its
+    families' masks, and checked and passed count triples from the tally
+    of masks.  Keys are element indices (payloads on a ring too large to
+    index), and on an indexed ring ac and ba are read off its product
+    arithmetic.  Index order puts a outermost, so the two memos whose keys
+    hold a are emptied when it changes and keyed without it, and each memo
+    holds at most |R|^2 keys.  The ring's element budget is read once, as
+    the block starts (rings.budget_block).  Stops at the first violation,
+    reporting it with the offending triple; counters then count the
+    triples before it.
     """
+    family_parts = {family: [] for family in (AB_AC, A_C_BA, AC_BA, TRIPLE)}
+    for pos, name in enumerate(selected):
+        for family, part in _CHECKS[name]:
+            family_parts[family].append((name, 1 << pos, part))
+    b_parts, c_parts, pair_parts, triple_parts = (
+        family_parts[f] for f in (AB_AC, A_C_BA, AC_BA, TRIPLE)
+    )
+    by_b: dict = {}  # AB_AC, keyed (b, ac) for the current a
+    by_c: dict = {}  # A_C_BA, keyed (c, ba) for the current a
+    by_pair: dict = {}  # AC_BA, keyed (ac, ba): (mask, held)
+    tally = [0] * (1 << len(selected))
     hypothesis = strong = 0
-    counters = {name: {"checked": 0, "passed": 0} for name in selected}
     separations = []
-    checks = [(name, _CHECKS[name]) for name in selected]
-    memos = {part: {} for _, parts in checks for part in parts}
-    ident = attrgetter("idx" if ctx.indexed else "payload")
+    violation = None
+    indexed, product = ctx.indexed, ctx._product
     last_a = None
-    for idx, a, b, c, report in _hypothesis_triples(ctx, indices):
-        hypothesis += 1
-        if report.strong_holds:
-            strong += 1
-        else:
-            separations.append(triple_to_json(a, b, c))
-        ai, bi, ci, aci, bai = map(ident, (a, b, c, a * c, b * a))
-        if ai != last_a:
-            last_a = ai
-            for (family, _), memo in memos.items():
-                if family != AC_BA:
-                    memo.clear()
-        keys = ((ai, bi, aci), (ai, ci, bai), (aci, bai), (ai, bi, ci))
-        _remember_hypothesis(a, b, c, report)  # read by the checks' guards
-        for name, parts in checks:
-            ran = False
-            try:
-                for part in parts:
-                    memo, key = memos[part], keys[part[0]]
-                    done = memo.get(key)
-                    if done is None:
-                        # budget errors propagate: running out of
-                        # enumeration room is not a counterexample
-                        done = memo[key] = part[1](a, b, c)
-                    ran |= done
-            except (CertificationError, MissingInverse) as exc:
-                return {
-                    "examined": bisect_right(indices, idx),
-                    "hypothesis": hypothesis,
-                    "strong": strong,
-                    "counters": counters,
-                    "separations": separations,
-                    "violation": (name, triple_to_json(a, b, c), str(exc)),
-                }
-            if ran:
-                counters[name]["checked"] += 1
-                counters[name]["passed"] += 1
+    # only a violation ends the scan with a report; budget errors propagate,
+    # since running out of enumeration room is not a counterexample
+    with budget_block(ctx):
+        try:
+            for idx, a, b, c, report in _hypothesis_triples(ctx, indices):
+                hypothesis += 1
+                if report.strong_holds:
+                    strong += 1
+                else:
+                    separations.append(triple_to_json(a, b, c))
+                if indexed:
+                    ai, bi, ci = a.idx, b.idx, c.idx
+                    aci, bai = product(ai, ci).idx, product(bi, ai).idx
+                else:
+                    ai, bi, ci = a.payload, b.payload, c.payload
+                    aci, bai = (a * c).payload, (b * a).payload
+                if ai != last_a:
+                    last_a = ai
+                    by_b.clear()
+                    by_c.clear()
+                _remember_hypothesis(a, b, c, report)  # read by the checks' guards
+                pair = by_pair.get((aci, bai))
+                if pair is None:
+                    held = {}
+                    pair = by_pair[aci, bai] = (_run_parts(pair_parts, a, b, c, held), held)
+                mask, held = pair
+                done = by_b.get((bi, aci))
+                if done is None:
+                    done = by_b[bi, aci] = _run_parts(b_parts, a, b, c, held)
+                mask |= done
+                done = by_c.get((ci, bai))
+                if done is None:
+                    done = by_c[ci, bai] = _run_parts(c_parts, a, b, c, held)
+                mask |= done
+                if triple_parts:
+                    mask |= _run_parts(triple_parts, a, b, c, held)
+                tally[mask] += 1
+            examined = len(indices)
+        except SweepViolation as exc:
+            examined = bisect_right(indices, idx)
+            violation = (exc.check, exc.triple_json, exc.detail)
+    counters = {}
+    for pos, name in enumerate(selected):
+        count = sum(n for mask, n in enumerate(tally) if mask >> pos & 1)
+        counters[name] = {"checked": count, "passed": count}
     return {
-        "examined": len(indices),
+        "examined": examined,
         "hypothesis": hypothesis,
         "strong": strong,
         "counters": counters,
         "separations": separations,
-        "violation": None,
+        "violation": violation,
     }
 
 
@@ -406,10 +461,13 @@ def sweep(
 
     mode "exhaustive" walks all |R|^3 triples in lexicographic payload
     order (guarded by the triple budget); mode "sample" draws `count`
-    indices from a seeded generator, so runs are reproducible.
+    indices from a seeded generator, so runs are reproducible.  jobs is
+    the number of worker processes asked for, at least 1.
     """
     if not ctx.is_finite_ring:
         raise ContextMismatch("sweeps need an enumerable finite ring")
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     selected = _normalize_theorems(theorems)
     started = time.perf_counter()
     if mode == "exhaustive":
@@ -472,15 +530,24 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     merge in index order, so the outcome (including which violation wins:
     the lowest-index one) matches a sequential scan exactly, whatever the
     number of workers.  That number is capped at the CPU count: a pool
-    starts all its workers at once.
+    starts all its workers at once.  A worker that dies, or raises
+    anything outside ClineLabError, ends the sweep with WorkerFailure.
     """
     workers = min(jobs, os.cpu_count() or 1)
     size = max(len(indices) // (workers * 4), 1)
     tasks = [
         (ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_scan_block, tasks))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_block, tasks))
+    except ClineLabError:
+        raise
+    except BrokenProcessPool as exc:
+        raise WorkerFailure("a sweep worker process died before it finished its block") from exc
+    except Exception as exc:
+        detail = " ".join(str(exc).split())  # one line, whatever the worker wrote
+        raise WorkerFailure(f"a sweep worker failed: {type(exc).__name__}: {detail}") from exc
     out = []
     for part in results:
         out.append(part)

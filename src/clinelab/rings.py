@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +47,8 @@ def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     The variable is the only budget control.  It caps both element
     enumeration (the default) and sweep triples (DEFAULT_TRIPLE_BUDGET),
     and require_budget, the one place a count is checked against it, reads
-    it on every call.
+    it on every call, except the element checks of the ring of a running
+    sweep block (see budget_block).
     """
     raw = os.environ.get("CLINE_LAB_BUDGET")
     if raw is None:
@@ -616,6 +618,11 @@ def matrix_ring(n: int, size: int) -> MatrixRingContext:
     return MatrixRingContext(n, size)
 
 
+# The ring of the sweep block now running, when its elements were within the
+# budget as the block started (budget_block); None outside such a block
+_block_ring: FiniteRingContext | None = None
+
+
 def require_budget(
     ctx: FiniteRingContext,
     power: int = 1,
@@ -628,14 +635,39 @@ def require_budget(
     elements a finite-ring enumeration visits and the triples of an
     exhaustive sweep (power 3, default DEFAULT_TRIPLE_BUDGET).  It gates
     enumeration only; no engine choice reads it.  A count far over the
-    budget is neither built nor printed in full.
+    budget is neither built nor printed in full.  The element check of the
+    ring of a running sweep block passes without reading the variable: it
+    was read when the block started.
     """
+    if ctx is _block_ring and power == 1 and default == DEFAULT_ENUMERATION_BUDGET:
+        return
     limit = enumeration_budget(default)
     n, exp = ctx.n, ctx.digits * power
     if not _power_at_most(n, exp, limit):
         label = ctx.label if power == 1 else f"{ctx.label}^{power}"
         count = n**exp if exp == 1 or _power_at_most(n, exp, 2**64) else f"{n}^{exp}"
         raise BudgetExceeded(f"{label} has {count} {unit}, over the budget {limit}")
+
+
+@contextmanager
+def budget_block(ctx: FiniteRingContext):
+    """Read the element budget of an enumerated ring once for a block of
+    work on it (a sweep's scan), not on each of its lookups.
+
+    When ctx is within the budget as the block starts, require_budget(ctx)
+    at the element default passes without reading CLINE_LAB_BUDGET until
+    the block ends, however it ends.  Otherwise, and on an eliminated ring,
+    which no enumeration reaches, every call reads the variable, as outside
+    a block, and raises where it would have.
+    """
+    global _block_ring
+    previous = _block_ring
+    if not ctx.eliminated and _power_at_most(ctx.n, ctx.digits, enumeration_budget()):
+        _block_ring = ctx
+    try:
+        yield
+    finally:
+        _block_ring = previous
 
 
 def uses_elimination(ctx: RingContext) -> bool:

@@ -244,11 +244,12 @@ def scan_per_triple(ctx, indices, selected):
             strong += 1
         else:
             separations.append(triple_to_json(a, b, c))
+        held = {}  # the state of the triple's (ac, ba) key, kept for this triple only
         for name in selected:
             try:
                 ran = False
                 for _, part in explorer._CHECKS[name]:
-                    ran |= part(a, b, c)
+                    ran |= part(a, b, c, held)
             except (CertificationError, MissingInverse) as exc:
                 violation = (name, triple_to_json(a, b, c), str(exc))
                 break

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON formats, exit codes, determinism."""
 
 import json
+import os
 import signal
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clinelab import cli
+from clinelab import cli, explorer
 from clinelab.serialize import (
     element_from_json,
     element_to_json,
@@ -444,6 +445,41 @@ def test_huge_matrix_ring_samples_exit_2_without_building_the_count(capsys, ring
         capsys, argv + ["--seed", "1", "--count", "1", "--theorems", "l26"]
     )
     assert "triples, over the sample bound 2^65536" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_explore_sweep_with_jobs_below_one_exits_2(capsys, jobs):
+    argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", jobs]
+    err = _assert_quick_input_error(capsys, argv)
+    assert f"jobs must be at least 1, got {jobs}" in err
+
+
+# stand-ins for explorer._scan_block, module-level so that the pool can
+# pickle them by name
+def _worker_that_dies(task):
+    os._exit(1)
+
+
+def _worker_that_raises(task):
+    raise RuntimeError("not a clinelab error\nwith a second line")
+
+
+@pytest.mark.parametrize(
+    "worker, message",
+    [
+        (_worker_that_dies, "a sweep worker process died before it finished its block"),
+        (
+            _worker_that_raises,
+            "a sweep worker failed: RuntimeError: not a clinelab error with a second line",
+        ),
+    ],
+    ids=["dies", "raises"],
+)
+def test_a_failing_sweep_worker_exits_2_with_one_line(capsys, monkeypatch, worker, message):
+    monkeypatch.setattr(explorer, "_scan_block", worker)
+    argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", "2"]
+    err = _assert_quick_input_error(capsys, argv)
+    assert err == f"error: {message}\n"
 
 
 def test_negative_sample_count_exits_2(capsys):

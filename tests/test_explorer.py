@@ -8,6 +8,7 @@ import pytest
 from oracles import index_by_digits, scan_per_triple
 
 import clinelab.explorer as explorer
+import clinelab.rings as rings
 
 from clinelab import (
     BudgetExceeded,
@@ -15,6 +16,7 @@ from clinelab import (
     InputError,
     SweepViolation,
     check_hypothesis,
+    drazin_finite_ring,
     example_29_triple,
     find_separation,
     matrix_ring,
@@ -294,10 +296,10 @@ def test_a_fault_keyed_on_a_parts_inputs_surfaces_at_the_oracles_triple(
     inputs = _KEY_INPUTS[family]
     key = _fault_key(ring, family)
 
-    def faulty(a, b, c):
+    def faulty(a, b, c, held):
         if tuple(x.idx for x in inputs(a, b, c)) == key:
             raise CertificationError(f"injected fault at {key}")
-        return part(a, b, c)
+        return part(a, b, c, held)
 
     monkeypatch.setitem(_CHECKS, name, parts[:pos] + ((family, faulty),) + parts[pos + 1 :])
     expected = scan_per_triple(ring, range(ring.element_count**3), (name,))["violation"]
@@ -400,8 +402,63 @@ def test_budget_error_propagates_instead_of_masquerading_as_violation(monkeypatc
         _scan_indices(matrix_ring(4, 2), [0], ("l21",))
 
 
+@pytest.mark.parametrize("outcome", ["finish", "violation", "budget"])
+def test_the_block_budget_is_released_however_a_scan_ends(monkeypatch, outcome):
+    # inside a scan the ring's element checks skip the budget read; after
+    # it, a lowered budget gates a cached search again
+    ring = matrix_ring(2, 2)
+    x = ring.element_by_index(6)
+    drazin_finite_ring(x)
+    slots = []
+
+    def part(a, b, c, held):
+        slots.append(rings._block_ring)
+        if outcome == "violation":
+            raise CertificationError("stand-in failure")
+        if outcome == "budget":
+            raise BudgetExceeded("stand-in budget")
+        return True
+
+    monkeypatch.setitem(_CHECKS, "l26", ((AC_BA, part),))
+    expected = {"finish": None, "violation": SweepViolation, "budget": BudgetExceeded}[outcome]
+    if expected is None:
+        sweep(ring, "l26")
+    else:
+        with pytest.raises(expected):
+            sweep(ring, "l26")
+    assert slots and all(slot is ring for slot in slots)
+    assert rings._block_ring is None
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        drazin_finite_ring(x)
+
+
+def test_checks_that_enumerate_nothing_run_on_a_ring_over_the_element_budget(monkeypatch):
+    # the budget read as a block starts does not raise: only an enumeration
+    # does, as it did when every lookup read the budget
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    report = sweep(matrix_ring(4, 2), "l26,l31", "sample", seed=1, count=10)
+    assert report.triples_hypothesis == 4
+    assert report.counters["l26"] == report.counters["l31"] == {"checked": 4, "passed": 4}
+    with pytest.raises(BudgetExceeded):
+        sweep(matrix_ring(4, 2), "l21", "sample", seed=1, count=10)
+
+
+def test_c24_reads_its_inverses_on_the_first_triple_of_each_key(monkeypatch):
+    # this sample's one hypothesis triple is not strong, so c24 compares
+    # nothing; its (ac, ba) part still looks up both g-Drazin inverses,
+    # which a budget below |M_2(Z/4)| forbids
+    kwargs = {"mode": "sample", "seed": 29, "count": 6}
+    report = sweep(matrix_ring(4, 2), "c24", **kwargs)
+    assert (report.triples_hypothesis, report.triples_strong) == (1, 0)
+    assert report.counters["c24"] == {"checked": 0, "passed": 0}
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        sweep(matrix_ring(4, 2), "c24", **kwargs)
+
+
 def test_violation_aborts_with_serialized_triple(monkeypatch):
-    def broken(a, b, c):
+    def broken(a, b, c, held):
         raise CertificationError("synthetic failure")
 
     monkeypatch.setitem(_CHECKS, "l26", ((AC_BA, broken),))
