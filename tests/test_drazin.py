@@ -1,5 +1,9 @@
 """Drazin / group / g-Drazin certificates and the two independent engines."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +34,7 @@ from clinelab import (
     uses_elimination,
     zmod,
 )
+from clinelab.linalg import QQ, inverse
 from clinelab.serialize import certificate_to_json, dumps_canonical
 
 M2Q = rationals_matrix(2)
@@ -390,3 +395,66 @@ def test_nilpotent_element_inverse_is_zero_with_index_matching_witness():
     cert = drazin_certificate(x)
     assert cert.inverse.is_zero
     assert cert.index == nilpotency(x).index == 3
+
+
+# --- pinned certificates -------------------------------------------------------
+
+
+def _dense_of_index(rng, n, k):
+    """P (J_k + D) P^-1 for a dense random rational P, J_k the nilpotent
+    Jordan block of size k and D a diagonal of nonzero rationals on the
+    other n - k places (two of them equal), so the index is exactly k."""
+    ctx = rationals_matrix(n)
+
+    def entry(nonzero=False):
+        v = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        return v if nonzero or rng.random() < 0.5 else -v
+
+    while True:
+        p = ctx.elem([[entry() for _ in range(n)] for _ in range(n)])
+        p_inv = inverse(QQ, p.payload)
+        if p_inv is not None:
+            break
+    diag = [entry(True) for _ in range(n - k)]
+    diag[-1] = diag[0]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(k - 1):
+        rows[i][i + 1] = 1
+    for i, v in enumerate(diag, start=k):
+        rows[i][i] = v
+    return p * ctx.elem(rows) * ctx._wrap(p_inv)
+
+
+def _pinned_elements(family):
+    rng = random.Random(family)
+    if family == "dense-q":
+        return [_dense_of_index(rng, n, k) for n in (6, 12, 16) for k in (1, 2, 3)]
+    size, p = {"m4z2": (4, 2), "m3z3": (3, 3), "m2z7": (2, 7)}[family]
+    ring = matrix_ring(p, size)
+    assert uses_elimination(ring)
+    return [
+        ring.elem([[rng.randrange(p) for _ in range(size)] for _ in range(size)])
+        for _ in range(24)
+    ]
+
+
+# sha256 of the canonical certificate JSON of every element, in order
+_PINNED_CERTIFICATES = {
+    ("dense-q", "drazin"): "87d91a14932bb72ec6da122daa31dcb4c50312a1c4dd563a94341fb810f6dabe",
+    ("dense-q", "gdrazin"): "e750e99b5cc03c3ae4ff81cd9de6f02682c728c1355afd73343428d040a111ae",
+    ("m4z2", "drazin"): "ebbb15873e6bb7389483169b22ccfda93aa66d888987bd34e0d4bc6d244bc380",
+    ("m4z2", "gdrazin"): "dc6ba65dfee98b81880ea5cc953eb0890e36cc5587c16b45f445955f8dc9e97e",
+    ("m3z3", "drazin"): "281fd4d4ecbcc5fb2de3106d53524d0bcda6704ec947679d1fd944f9f4ed50f1",
+    ("m3z3", "gdrazin"): "17cabe456b5a5866a5081bdb567cfd74de705d598e9744ee6479d7a5b4e8508b",
+    ("m2z7", "drazin"): "bd0aca911a1f63ee434efd7dcfbb30f22973c5b33e6084452d93786b7d5bb402",
+    ("m2z7", "gdrazin"): "e0797f298e78a2fd62688dd6567f33f02dd9e46d06491d72b0e6592834328849",
+}
+
+
+@pytest.mark.parametrize("family,mode", list(_PINNED_CERTIFICATES))
+def test_matrix_certificates_are_pinned(family, mode):
+    certs = [drazin_matrix(a, mode) for a in _pinned_elements(family)]
+    if family == "dense-q":
+        assert [c.index for c in certs] == [1, 2, 3] * 3
+    text = "".join(dumps_canonical(certificate_to_json(c)) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CERTIFICATES[family, mode]
