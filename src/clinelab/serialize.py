@@ -7,7 +7,8 @@ Element format:
     {"ring": {"type": "MatZmod", "n": 2, "size": 6}, "entries": [[0, 1], ...]}
 
 Rational entries are strings ("p/q" or a plain integer string); modular
-entries are integers.  A bare integer is accepted for Zmod input.  Triples
+entries, n and size are JSON integers, and a float, bool or string there
+is an InputError.  A bare integer is accepted for Zmod input.  Triples
 are {"a": <elem>, "b": <elem>, "c": <elem>} in one common ring.
 """
 
@@ -43,6 +44,14 @@ def _parse_rational(v) -> Fraction:
     raise InputError(f"rational entries must be integers or 'p/q' strings, got {v!r}")
 
 
+def _integer(v, what: str) -> int:
+    """v if it is an int; a float, bool or string is never truncated or
+    coerced into a modulus, a size or a residue."""
+    if type(v) is not int:
+        raise InputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def element_from_json(obj) -> RingElem:
     if not isinstance(obj, dict) or "ring" not in obj or "entries" not in obj:
         raise InputError("element literal needs 'ring' and 'entries'")
@@ -60,20 +69,18 @@ def element_from_json(obj) -> RingElem:
                 raise InputError("Q matrices must be square")
             return rationals_matrix(len(rows)).elem(rows)
         if kind == "Zmod":
-            ctx = zmod(int(ring["n"]))
-            if isinstance(entries, int):
-                return ctx.elem(entries)
+            ctx = zmod(_integer(ring["n"], "'n'"))
             if (
                 isinstance(entries, list)
                 and len(entries) == 1
                 and isinstance(entries[0], list)
                 and len(entries[0]) == 1
             ):
-                return ctx.elem(entries[0][0])
-            raise InputError("Zmod entries must be an integer or [[v]]")
+                entries = entries[0][0]
+            return ctx.elem(_integer(entries, "a Zmod entry, given as v or [[v]],"))
         if kind == "MatZmod":
-            ctx = matrix_ring(int(ring["n"]), int(ring["size"]))
-            return ctx.elem(entries)
+            ctx = matrix_ring(_integer(ring["n"], "'n'"), _integer(ring["size"], "'size'"))
+            return ctx.elem([[_integer(v, "a MatZmod entry") for v in row] for row in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed element literal: {exc}")
     raise InputError(f"unknown ring type {kind!r}")

@@ -511,6 +511,46 @@ def test_matzmod_literal_of_huge_size_exits_2_quickly(tmp_path, capsys):
     assert "100000x100000" in err
 
 
+_MATZMOD = {"type": "MatZmod", "n": 3, "size": 2}
+_IDENTITY = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "ring, entries, message",
+    [
+        (_MATZMOD, [[1.7, 0], [0, 1]], "a MatZmod entry must be an integer, got 1.7"),
+        (_MATZMOD, [[True, 0], [0, 1]], "a MatZmod entry must be an integer, got True"),
+        (_MATZMOD, [["1", 0], [0, 1]], "a MatZmod entry must be an integer, got '1'"),
+        ({**_MATZMOD, "n": 3.9}, _IDENTITY, "'n' must be an integer, got 3.9"),
+        ({**_MATZMOD, "n": True}, _IDENTITY, "'n' must be an integer, got True"),
+        ({**_MATZMOD, "size": 2.0}, _IDENTITY, "'size' must be an integer, got 2.0"),
+        ({**_MATZMOD, "size": False}, _IDENTITY, "'size' must be an integer, got False"),
+        ({"type": "Zmod", "n": 3}, True, "a Zmod entry, given as v or [[v]], must be an integer, got True"),
+        ({"type": "Zmod", "n": 3}, [[1.5]], "a Zmod entry, given as v or [[v]], must be an integer, got 1.5"),
+        ({"type": "Zmod", "n": 3.9}, 1, "'n' must be an integer, got 3.9"),
+        ({"type": "Zmod", "n": True}, 1, "'n' must be an integer, got True"),
+    ],
+    ids=[
+        "matzmod-float-entry",
+        "matzmod-bool-entry",
+        "matzmod-string-entry",
+        "matzmod-float-n",
+        "matzmod-bool-n",
+        "matzmod-float-size",
+        "matzmod-bool-size",
+        "zmod-bool-entry",
+        "zmod-float-entry",
+        "zmod-float-n",
+        "zmod-bool-n",
+    ],
+)
+def test_modular_literals_take_only_integers(tmp_path, capsys, ring, entries, message):
+    # a float was truncated ("n": 3.9 gave Z/3) and a bool taken as 0 or 1
+    path = _write(tmp_path, "elem.json", {"ring": ring, "entries": entries})
+    err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", path])
+    assert err == f"error: {message}\n"
+
+
 def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
     digits = "9" * 5000
     _assert_quick_input_error(capsys, ["explore", "sweep", "--ring", "zmod" + digits])
