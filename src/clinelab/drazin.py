@@ -1,11 +1,11 @@
 """Drazin, group, and g-Drazin inverses with verified certificates.
 
 Two engines compute an inverse.  Elimination works on any square matrix
-over a field, M_n(Q) or M_m(Z/p) with p prime: one Krylov pass over the
-powers of a finds its minimal polynomial, whose lowest nonzero term gives
-the index and whose other terms give the inverse as a polynomial in a.
-Exhaustive search works on any enumerable finite ring and doubles as an
-independent oracle where both apply.  The ring alone picks the engine
+over a field, M_n(Q) or M_m(Z/p) with p prime: one Faddeev-LeVerrier pass
+(linalg.faddeev_leverrier) gives the characteristic polynomial x^m q(x),
+q(0) != 0, and with it the inverse as a polynomial in a; the index comes
+from the certificate's core.  Exhaustive search works on any enumerable
+finite ring and doubles as an independent oracle where both apply.  The ring alone picks the engine
 (rings.uses_elimination): the element budget only gates a search, and a
 search over it raises BudgetExceeded.  Every certificate is re-verified
 against the defining equations before it is returned; a verification
@@ -15,6 +15,8 @@ failure raises CertificationError because it can only mean a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch
@@ -60,46 +62,29 @@ def _field(a: RingElem, caller: str):
     return dom
 
 
-def _vector(m: RingElem, tail: list) -> list:
-    """vec(m) ++ tail as a row for linalg.extend_basis."""
+def _vector(m: RingElem) -> list:
+    """vec(m) as a row for linalg.extend_basis."""
     dom = m.ctx.domain
     rows, den = linalg.int_rows(dom, m.payload)
-    return linalg.as_row(dom, linalg.mat_flatten(rows), den, tail)
-
-
-def _krylov(a: RingElem):
-    """Echelon rows of vec(a^i) ++ e_i (e_i the unit vector of length n + 1)
-    for i = 0, 1, ..., d, where a^d is the first power whose vector part
-    reduces to zero.  That last row has its pivot in the tail and carries
-    the minimal polynomial: its tail is r with sum_j r_j a^j = 0.  Returns
-    (basis, [a^0, ..., a^d], r).
-    """
-    dom = a.ctx.domain
-    n = len(a.payload)
-    basis: list = []
-    powers = [a.ctx.one()]
-    while True:
-        tail = [0] * (n + 1)
-        tail[len(powers) - 1] = 1
-        linalg.extend_basis(dom, basis, _vector(powers[-1], tail))
-        pivot, row = basis[-1]
-        if pivot >= n * n:
-            return basis, powers, row[n * n:]
-        powers.append(powers[-1] * a)
+    return linalg.as_row(dom, linalg.mat_flatten(rows), den)
 
 
 def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
     """Whether b lies in the span of I, a, a^2, ... (matrices over a field).
 
     Membership implies b is in the double commutant of a, and needs no
-    enumeration of the ring.  vec(b) ++ 0 is reduced against a's Krylov
-    rows; b is a member exactly when its vector part reduces to zero.
+    enumeration of the ring.  By Cayley-Hamilton the span is that of
+    I, a, ..., a^(n-1), and it stops growing at the first power that
+    reduces to zero against the ones before it; b is a member exactly when
+    vec(b) reduces to zero against them too.
     """
     dom = _field(a, "is_polynomial_in")
-    n = len(a.payload)
-    basis, _, _ = _krylov(a)
-    independent = linalg.extend_basis(dom, basis, _vector(b, [0] * (n + 1)))
-    return not independent or basis[-1][0] >= n * n
+    basis: list = []
+    powers = accumulate(repeat(a, len(a.payload) - 1), mul, initial=a.ctx.one())
+    for power in powers:
+        if not linalg.extend_basis(dom, basis, _vector(power)):
+            break
+    return not linalg.extend_basis(dom, basis, _vector(b))
 
 
 def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate:
@@ -145,28 +130,27 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
 def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     """Drazin inverse of a square matrix over a field (Q or Z/p).
 
-    Let sum_j r_j a^j = 0 be the minimal polynomial and k the lowest j with
-    r_j != 0; k is the index.  Then a^k = a^(k+1) s for the polynomial
-    s = -r_k^-1 sum_(j>k) r_j a^(j-k-1), and b = a^k s^(k+1) is the
-    Drazin inverse (Drazin, Amer. Math. Monthly 65, 1958), a polynomial in
-    a by construction.  Every defining equation is verified before
-    returning.
+    Faddeev-LeVerrier runs on the integer rows N = d*a (d the common
+    denominator over Q, 1 over Z/p).  With t the largest k whose c_k is
+    nonzero in the field, det(x - N) = x^m q(x) for m = n - t and
+    q(0) = c_t, and m is at least the index.  Then B_(t-1) is
+    (q(N) - q(0))/N, so s = -d B_(t-1)/c_t gives a^m = a^(m+1) s, and
+    b = a^m s^(m+1) is the Drazin inverse (Drazin, Amer. Math. Monthly 65,
+    1958), a polynomial in a by construction; when t = 0, a is nilpotent
+    and b = 0.  Every defining equation is verified before returning.
     """
     dom = _field(a, "drazin_matrix")
-    _, powers, r = _krylov(a)
-    k = next(j for j, x in enumerate(r) if x)
-    terms = range(k + 1, len(powers))
-    if terms:
-        s = a.ctx._wrap(
-            linalg.mat_combination(
-                dom, [-r[j] for j in terms], [powers[j - k - 1].payload for j in terms], r[k]
-            )
-        )
-    else:  # the minimal polynomial is x^k: a is nilpotent
-        s = a.ctx.zero()
-    cert = _build_certificate(a, powers[k] * s ** (k + 1), mode)
-    if cert.index != k:
-        raise CertificationError("certificate index disagrees with the minimal polynomial")
+    rows, d = linalg.int_rows(dom, a.payload)
+    t = 0
+    for k, (c_k, b_k) in enumerate(linalg.faddeev_leverrier(rows)):
+        if k and dom.canon(c_k):
+            t, c_t, b_t = k, c_k, prev
+        prev = b_k
+    s = a.ctx._wrap(linalg.mat_combination(dom, -d, b_t, c_t)) if t else a.ctx.zero()
+    m = len(rows) - t
+    cert = _build_certificate(a, a**m * s ** (m + 1), mode)
+    if cert.index > m:
+        raise CertificationError("certificate index exceeds the multiplicity of 0")
     return cert
 
 

@@ -13,10 +13,14 @@ entry of v with pivot row p as p[col]*v - v[col]*p and never divides:
 over Q it then divides by the content of the integer row, as in Bareiss
 (Math. Comp. 22, 1968) but by the content rather than the previous pivot;
 over Z/p it reduces modulo the prime.  rref (and with it inverse) and extend_basis
-(and with it rank and drazin's Krylov pass) are its only callers, so each
+(and with it rank and drazin's span test) are its only callers, so each
 field's row arithmetic is written once.  Over Q no kernel does arithmetic on
 Fractions: a product is the integer dot products of the numerators over the
 product of the denominators, reduced by one content gcd.
+
+faddeev_leverrier is the one characteristic-polynomial kernel: one pass on
+integer rows gives spectra.char_poly its coefficients and drazin_matrix its
+Drazin inverse.
 """
 
 from __future__ import annotations
@@ -236,27 +240,42 @@ def mat_mul(dom, a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _combine(coeffs: list, mats: list) -> tuple:
-    """sum_i coeffs[i] * mats[i] for integer coefficients and matrices of
-    integer rows, all of one shape."""
-    return tuple(
-        tuple(sum(map(_mul, coeffs, entries)) for entries in zip(*rows))
-        for rows in zip(*mats)
-    )
-
-
-def mat_combination(dom, coeffs: list, mats: list, d: int) -> Matrix:
-    """(sum_i coeffs[i] * mats[i]) / d, for a nonempty list of matrices of
-    one shape, integer coefficients and an integer d that is a unit of the
-    domain.  Over Q the numerators are combined once, each coefficient
-    scaled to the lcm of the denominators."""
+def mat_combination(dom, c: int, rows: tuple, d: int) -> Matrix:
+    """The matrix (c/d) * rows, for integer rows, an integer c and an
+    integer d that is a unit of the domain."""
     if isinstance(dom, ModularDomain):
         n = dom.n
-        inv = dom.inv(d % n)
-        return tuple(tuple(x * inv % n for x in row) for row in _combine(coeffs, mats))
-    den = lcm(*[m.den for m in mats])
-    coeffs = [c * (den // m.den) for c, m in zip(coeffs, mats)]
-    return _lowest(_combine(coeffs, [m.num for m in mats]), d * den)
+        f = c * dom.inv(d % n)
+        return tuple(tuple(x * f % n for x in row) for row in rows)
+    return _lowest(tuple(tuple(c * x for x in row) for row in rows), d)
+
+
+def faddeev_leverrier(rows: tuple):
+    """Yield (c_k, B_k) for k = 0..n, for a square matrix M of integer rows:
+    det(x I - M) = sum_k c_k x^(n-k) and B_k = sum_(i<=k) c_i M^(k-i).
+
+    B_0 = I, c_k = -tr(M B_(k-1))/k and B_k = M B_(k-1) + c_k I, on plain
+    ints; every division is exact over Z, and B_n = 0 (Cayley-Hamilton).
+    """
+    n = len(rows)
+    # M B_(k-1) is formed row by row as a combination of the rows of
+    # B_(k-1), over the nonzero entries of that row of M only
+    support = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    yield 1, b
+    for k in range(1, n + 1):
+        prev, b = b, []
+        for entries in support:
+            acc = [0] * n
+            for j, v in entries:
+                acc = [x + v * y for x, y in zip(acc, prev[j])]
+            b.append(acc)
+        c, r = divmod(-sum(b[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("Faddeev-LeVerrier integer division not exact")
+        for i in range(n):
+            b[i][i] += c
+        yield c, b
 
 
 def int_rows(dom, a: Matrix) -> tuple:

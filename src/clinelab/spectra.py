@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .drazin import drazin_matrix
 from .errors import ContextMismatch, InputError, ReadingValidationError
 from .rings import MatrixContext, RingElem, rationals_matrix
@@ -111,44 +112,16 @@ def _as_rational_matrix(m) -> RingElem:
     return rationals_matrix(len(rows)).elem(rows)
 
 
-def _faddeev_leverrier_int(rows):
-    """Recurrence on an integer matrix: N_1 = M, c_k = -tr(N_k)/k,
-    N_{k+1} = M(N_k + c_k I); every division is exact over Z."""
-    n = len(rows)
-    # M(N_k + c_k I) is formed row by row as a combination of the rows of
-    # N_k + c_k I, over the nonzero entries of that row of M only
-    support = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    coeffs = [1]
-    nk = rows
-    for k in range(1, n + 1):
-        if k > 1:
-            nk = []
-            for entries in support:
-                acc = [0] * n
-                for j, v in entries:
-                    acc = [x + v * y for x, y in zip(acc, aug[j])]
-                nk.append(acc)
-        c, r = divmod(-sum(nk[i][i] for i in range(n)), k)
-        if r:
-            raise AssertionError("Faddeev-LeVerrier integer division not exact")
-        coeffs.append(c)
-        if k < n:
-            aug = [list(row) for row in nk]
-            for i in range(n):
-                aug[i][i] += c
-    return coeffs
-
-
 def char_poly(m) -> SpectrumDescriptor:
     """Characteristic polynomial det(lambda I - M) via Faddeev-LeVerrier.
 
-    The recurrence runs on plain ints, on the numerator d*M of M's payload
-    (d its common denominator); the coefficient of lambda^(n-k) is then
-    divided by d^k.
+    linalg.faddeev_leverrier runs on plain ints, on the numerator d*M of
+    M's payload (d its common denominator), and only its coefficients are
+    read; the coefficient of lambda^(n-k) is then divided by d^k.
     """
     elem = _as_rational_matrix(m)
     rows, d = elem.payload.num, elem.payload.den
-    desc = _faddeev_leverrier_int(rows)
+    desc = [c for c, _ in linalg.faddeev_leverrier(rows)]
     n = len(rows)
     ascending = _poly_norm(Fraction(desc[n - j], d ** (n - j)) for j in range(n + 1))
     if len(ascending) != n + 1:

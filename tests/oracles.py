@@ -2,7 +2,8 @@
 
 The library row-reduces by a fraction-free row step, decides
 double-commutant membership over Q by a polynomial witness, reads the
-Drazin inverse and its index off the minimal polynomial, numbers
+Drazin inverse off the characteristic polynomial and its index off the
+certificate's core, numbers
 finite-ring elements through their index, bounds nilpotency tests by the
 index bound, and sweeps by hypothesis class with each check run once per
 distinct input; these helpers recompute each by another route.
@@ -194,7 +195,8 @@ def rank_profile(a: RingElem) -> list[int]:
 
 def index_profile(a: RingElem) -> IndexProfile:
     """The index of a as the first k where the ranks of the powers of a
-    stop falling; the library reads it off the minimal polynomial."""
+    stop falling; the library reads it off the nilpotency of the core
+    a - a^2 b."""
     ranks = rank_profile(a)
     return IndexProfile(tuple(ranks), len(ranks) - 2)
 

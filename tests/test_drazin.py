@@ -36,6 +36,7 @@ from clinelab import (
 )
 from clinelab.linalg import QQ, inverse
 from clinelab.serialize import certificate_to_json, dumps_canonical
+from clinelab.spectra import char_poly
 
 M2Q = rationals_matrix(2)
 M2Z2 = matrix_ring(2, 2)
@@ -143,6 +144,34 @@ def test_matrix_inverse_equals_the_inner_inverse_oracle(index, rows):
         _check_defining_equations(cert)
 
 
+@pytest.mark.parametrize("mode", ["drazin", "gdrazin"])
+def test_zero_multiplicity_above_the_index(mode):
+    # J_2 + 0 + 1 over Q (entries 1/3 and 2/3, so its rows carry a
+    # denominator): det(x - a) = x^3 (x - 2/3), so the inverse is read off
+    # with m = 3 powers of a while the index is 2
+    a = rationals_matrix(4).elem(
+        [["0", "1/3", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "2/3"]]
+    )
+    assert char_poly(a).zero_multiplicity == 3
+    cert = drazin_matrix(a, mode)
+    assert cert.index == 2
+    assert cert.inverse == rationals_matrix(4).elem(
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, "3/2"]]
+    )
+    _check_defining_equations(cert)
+
+
+@pytest.mark.parametrize("mode", ["drazin", "gdrazin"])
+def test_zero_multiplicity_is_read_modulo_p(mode):
+    # over Z the characteristic polynomial of [[1, 1], [1, 1]] is x^2 - 2x,
+    # with 0 of multiplicity 1; modulo 2 it is x^2, and the matrix is
+    # nilpotent of index 2
+    a = M2Z2.elem([[1, 1], [1, 1]])
+    cert = drazin_matrix(a, mode)
+    assert cert.inverse.is_zero and cert.index == 2
+    _check_defining_equations(cert)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -217,7 +246,7 @@ def test_matrix_oracle_agreement_on_small_f2_rings(size):
 
 def test_polynomial_witness_is_the_double_commutant_over_f3():
     # over a field the double commutant of a matrix is exactly the
-    # polynomials in it, so the Krylov test must agree with the bitsets
+    # polynomials in it, so the span test must agree with the bitsets
     ring = matrix_ring(3, 2)
     for a in ring.elements():
         for b in ring.elements():

@@ -2,9 +2,9 @@
 
 rref and rank run on one fraction-free row step over Q and Z/p; over Q a
 matrix is integer rows over one denominator (linalg.QMatrix), so mat_mul,
-the Krylov span test and char_poly's recurrence work on ints alone.  Inputs
-go in through mat_canon and results are compared as the rows of Fractions
-the payload gives.  Each is checked here against a routine that does the
+drazin's span test and the Faddeev-LeVerrier pass work on ints alone.
+Inputs go in through mat_canon and results are compared as the rows of
+Fractions the payload gives.  Each is checked here against a routine that does the
 same job on the domain's own entries: the textbook Gauss-Jordan of
 tests/oracles.py (over Q and over F_2, F_3, F_5 and F_101), the span test
 there, a plain triple-loop product and a Fraction Faddeev-LeVerrier.
@@ -27,6 +27,7 @@ from clinelab.linalg import (
     MILLER_RABIN_BOUND,
     QQ,
     ModularDomain,
+    faddeev_leverrier,
     inverse,
     is_prime,
     mat_add,
@@ -246,6 +247,25 @@ def test_char_poly_matches_the_fraction_recurrence(a):
     assert all(type(v) is Fraction for v in desc.char_poly)
 
 
+@_params(SQUARE)
+def test_faddeev_leverrier_steps_are_sums_of_powers(a):
+    # on the integer rows M, B_k = sum_(i<=k) c_i M^(k-i) for every k, the
+    # c_k are the characteristic polynomial's, and B_n = 0
+    m = mat_canon(QQ, a).num
+    n = len(m)
+    steps = list(faddeev_leverrier(m))
+    assert tuple(c for c, _ in reversed(steps)) == _char_poly_ref(_q(m))
+    power = _q([[int(i == j) for j in range(n)] for i in range(n)])
+    powers = [power]
+    for _ in range(n):
+        powers.append(_ref_mul(powers[-1], m))
+    for k, (_, b) in enumerate(steps):
+        want = [[sum(steps[i][0] * powers[k - i][r][s] for i in range(k + 1)) for s in range(n)]
+                for r in range(n)]
+        assert b == want
+    assert not any(map(any, steps[n][1]))
+
+
 def test_prime_field_kernels_keep_the_field_routine():
     f5 = ModularDomain(5)
     a = ((1, 2, 3), (2, 4, 1), (3, 1, 4))
@@ -347,22 +367,26 @@ def test_entry_forms_give_one_payload(a, rnd):
         assert _rows(e.payload) == a
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(lambda n: st.lists(_rational_matrices(n), min_size=1, max_size=4)),
-    st.data(),
-)
-def test_mat_combination_matches_fractions(mats, data):
-    n = len(mats[0])
-    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=len(mats), max_size=len(mats)))
-    d = data.draw(st.integers(-BIG, BIG).filter(bool))
-    got = mat_combination(QQ, coeffs, [mat_canon(QQ, m) for m in mats], d)
-    want = tuple(
-        tuple(sum((c * m[i][j] for c, m in zip(coeffs, mats)), Fraction(0)) / d for j in range(n))
-        for i in range(n)
+_int_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n), min_size=n, max_size=n
     )
-    assert _rows(got) == want
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_rows, st.integers(-BIG, BIG), st.integers(-BIG, BIG).filter(bool))
+def test_mat_combination_matches_fractions(rows, c, d):
+    # over Q in lowest terms whatever the signs of c and d; over Z/p the
+    # same Fractions read modulo p, for every d that is a unit mod p
+    got = mat_combination(QQ, c, rows, d)
+    assert _rows(got) == tuple(tuple(Fraction(c * x, d) for x in row) for row in rows)
     _assert_lowest_terms(got)
+    for p in (2, 3, 101, 1000003):
+        if d % p:
+            dom = ModularDomain(p)
+            got = mat_combination(dom, c, rows, d)
+            assert got == tuple(tuple(c * x * pow(d, -1, p) % p for x in row) for row in rows)
 
 
 # --- sympy as an independent oracle -------------------------------------------
