@@ -5,11 +5,12 @@ over a field, M_n(Q) or M_m(Z/p) with p prime: one Faddeev-LeVerrier pass
 (linalg.faddeev_leverrier) gives the characteristic polynomial x^m q(x),
 q(0) != 0, and with it the inverse as a polynomial in a; the index comes
 from the certificate's core.  Exhaustive search works on any enumerable
-finite ring and doubles as an independent oracle where both apply.  The ring alone picks the engine
-(rings.uses_elimination): the element budget only gates a search, and a
-search over it raises BudgetExceeded.  Every certificate is re-verified
-against the defining equations before it is returned; a verification
-failure raises CertificationError because it can only mean a bug.
+finite ring and doubles as an independent oracle where both apply.  The
+ring alone picks the engine (rings.uses_elimination): the element budget
+only gates a search, and a search over it raises BudgetExceeded.  Every
+certificate is re-verified against the defining equations before it is
+returned; a verification failure raises CertificationError because it can
+only mean a bug.
 """
 
 from __future__ import annotations

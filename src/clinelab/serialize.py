@@ -77,7 +77,7 @@ def element_from_json(obj) -> RingElem:
                 and len(entries[0]) == 1
             ):
                 entries = entries[0][0]
-            return ctx.elem(_integer(entries, "a Zmod entry, given as v or [[v]],"))
+            return ctx.elem(_integer(entries, "a Zmod entry"))
         if kind == "MatZmod":
             ctx = matrix_ring(_integer(ring["n"], "'n'"), _integer(ring["size"], "'size'"))
             return ctx.elem([[_integer(v, "a MatZmod entry") for v in row] for row in entries])

@@ -525,8 +525,8 @@ _IDENTITY = [[1, 0], [0, 1]]
         ({**_MATZMOD, "n": True}, _IDENTITY, "'n' must be an integer, got True"),
         ({**_MATZMOD, "size": 2.0}, _IDENTITY, "'size' must be an integer, got 2.0"),
         ({**_MATZMOD, "size": False}, _IDENTITY, "'size' must be an integer, got False"),
-        ({"type": "Zmod", "n": 3}, True, "a Zmod entry, given as v or [[v]], must be an integer, got True"),
-        ({"type": "Zmod", "n": 3}, [[1.5]], "a Zmod entry, given as v or [[v]], must be an integer, got 1.5"),
+        ({"type": "Zmod", "n": 3}, True, "a Zmod entry must be an integer, got True"),
+        ({"type": "Zmod", "n": 3}, [[1.5]], "a Zmod entry must be an integer, got 1.5"),
         ({"type": "Zmod", "n": 3.9}, 1, "'n' must be an integer, got 3.9"),
         ({"type": "Zmod", "n": True}, 1, "'n' must be an integer, got True"),
     ],

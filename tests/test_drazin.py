@@ -150,7 +150,7 @@ def test_zero_multiplicity_above_the_index(mode):
     # denominator): det(x - a) = x^3 (x - 2/3), so the inverse is read off
     # with m = 3 powers of a while the index is 2
     a = rationals_matrix(4).elem(
-        [["0", "1/3", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "2/3"]]
+        [[0, "1/3", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, "2/3"]]
     )
     assert char_poly(a).zero_multiplicity == 3
     cert = drazin_matrix(a, mode)
