@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: JSON formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import signal
 import time
 from fractions import Fraction
@@ -16,7 +18,7 @@ from clinelab.serialize import (
     element_to_json,
     triple_from_json,
 )
-from clinelab import InputError, matrix_ring, rationals_matrix, zmod
+from clinelab import InputError, matrix_ring, rationals_matrix, try_inverse, zmod
 
 
 def _write(tmp_path, name, obj):
@@ -345,6 +347,99 @@ def test_spectra_compare(tmp_path, capsys):
     data = json.loads(out)
     assert data["nonzero_equal"] is True
     assert data["m1"]["zero_multiplicity"] == 2
+
+
+def _random_q(rng, n):
+    """Entries +-(1..9)/(1..9)."""
+    return rationals_matrix(n).elem(
+        [
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+def _dense_pair(n):
+    """P·D·Q and Q·D·P, D the identity with its last two diagonal entries 0."""
+    rng = random.Random(n)
+    p, q = _random_q(rng, n), _random_q(rng, n)
+    d = rationals_matrix(n).elem([[int(i == j < n - 2) for j in range(n)] for i in range(n)])
+    return p * d * q, q * d * p
+
+
+def _conjugate_pair(seed, j1, j2):
+    """P·J1·P^-1 and Q·J2·Q^-1 for random rational P and Q."""
+    rng = random.Random(seed)
+
+    def conjugate(rows):
+        n = len(rows)
+        while True:
+            p = _random_q(rng, n)
+            p_inv = try_inverse(p)
+            if p_inv is not None:
+                return p * rationals_matrix(n).elem(rows) * p_inv
+
+    return conjugate(j1), conjugate(j2)
+
+
+def _jordan(blocks):
+    """Block-diagonal rows of the Jordan blocks (eigenvalue, size)."""
+    n = sum(size for _, size in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for i in range(at, at + size):
+            rows[i][i] = Fraction(lam)
+            if i + 1 < at + size:
+                rows[i][i + 1] = Fraction(1)
+        at += size
+    return rows
+
+
+def _spectra_argv(tmp_path, name):
+    """The spectra command line of a pinned case: dense-N compares P·D·Q
+    with Q·D·P, conjugate-N two conjugates with repeated nonzero
+    eigenvalues and a denominator above 1, example-N the truncation."""
+    kind, n = name.rsplit("-", 1)
+    if kind == "example":
+        return ["spectra", "example", "--n", n]
+    if kind == "compare-dense":
+        pair = _dense_pair(int(n))
+    elif n == "6":
+        pair = _conjugate_pair(
+            6,
+            _jordan([("1/2", 2), ("1/2", 1), (-3, 1), (0, 2)]),
+            _jordan([("1/2", 1), (-3, 2), (0, 1)]),
+        )
+    else:
+        pair = _conjugate_pair(
+            9,
+            _jordan([("2/3", 3), (-1, 1), (-1, 1), (0, 2), (5, 1), (0, 1)]),
+            _jordan([("2/3", 1), ("2/3", 1), (-1, 2), ("-5/4", 1), (0, 3)]),
+        )
+    m1, m2 = (_write(tmp_path, f"m{i}.json", element_to_json(m)) for i, m in enumerate(pair))
+    return ["spectra", "compare", "--m1", m1, "--m2", m2]
+
+
+# sha256 of the stdout of spectra compare on each pair, and of spectra
+# example at each n, recorded while char_poly still reduced over Fractions
+_PINNED_SPECTRA = {
+    "compare-dense-8": "2dae208a0cfdeef54485d6c294ec53e272d2d1763ec4ef05cdd22c4176350120",
+    "compare-dense-12": "9b73105bc22954a85a27b88947ae489f3a23355553b4b5299254cc2298d3658e",
+    "compare-dense-16": "bd96c0bc014a580757b18675c7417e5c666e763bd5837cc8a5d238694cc07bdb",
+    "compare-conjugate-6": "c29102011e5fbc8bbd60158029b58bd3278c61679c783ccd3074e14d40e0057f",
+    "compare-conjugate-9": "6ab5723b43dbf38610da8f326053d72abce7ad953c1891d82f083725fc486714",
+    "example-24": "8c673defc4a0c0e8ddb1f712320f15336271238aa0c4a22788f608e17b9c96cc",
+    "example-40": "0c917ced7cd9fb529bd3aa03393d0074e9ff61a5aca7e0c70c52d1c2a5930522",
+    "example-64": "e7492def5686d932ff28efc6cdb7d1c639505b0a36ebdef0b6888f88fa1ceaf0",
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SPECTRA))
+def test_spectra_stdout_is_pinned(tmp_path, capsys, name):
+    code, out, _ = _run(capsys, _spectra_argv(tmp_path, name))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SPECTRA[name]
 
 
 # --- explore subcommands -----------------------------------------------------------
