@@ -19,8 +19,8 @@ Fractions: a product is the integer dot products of the numerators over the
 product of the denominators, reduced by one content gcd.
 
 faddeev_leverrier is the one characteristic-polynomial kernel: one pass on
-integer rows gives spectra.char_poly its coefficients and drazin_matrix its
-Drazin inverse.
+integer rows gives spectra.char_poly the integer coefficients on which it
+takes the squarefree part, and drazin_matrix its Drazin inverse.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ for every nonzero lambda.  Two matrices therefore have equal nonzero
 spectra exactly when the squarefree parts of their characteristic
 polynomials agree after every factor of lambda is removed.  That is a
 structural comparison of exact polynomials; no root-finding and no
-algebraic-number arithmetic is ever needed.
+algebraic-number arithmetic is ever needed.  The polynomials are over Z
+(see char_poly); only the outputs are Fractions.
 
 Drazin and g-Drazin spectra are empty for finite matrices (every square
 matrix over a field has a Drazin inverse); drazin_spectrum_matrix returns
@@ -16,75 +17,46 @@ document that emptiness rather than assume it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .drazin import drazin_matrix
-from .errors import ContextMismatch, InputError, ReadingValidationError
+from .errors import CertificationError, ContextMismatch, InputError, ReadingValidationError
 from .rings import MatrixContext, RingElem, rationals_matrix
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q: tuples of Fractions, ascending degree, no
-# trailing zeros; () is the zero polynomial.
-
-_F0 = Fraction(0)
+# dense polynomials over Z: lists of ints, ascending degree, no trailing
+# zeros; [] is the zero polynomial.
 
 
-def _poly_norm(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(Fraction(v) for v in c)
-
-
-def _poly_divmod(f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    quot = [_F0] * max(len(f) - dg, 0)
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
-        q = rem[-1] / lead
-        quot[shift] = q
-        for i in range(dg + 1):
-            rem[shift + i] -= q * g[i]
-        rem.pop()
-    return _poly_norm(quot), _poly_norm(rem)
-
-
-def _poly_monic(f):
-    if not f:
-        return ()
-    lead = f[-1]
-    if lead == 1:
-        return f
-    return tuple(v / lead for v in f)
-
-
-def _poly_gcd(f, g):
-    f, g = _poly_norm(f), _poly_norm(g)
+def _gcd(f, g):
+    """gcd(f, g) up to sign, for a primitive f: the last nonzero term of the
+    primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967; Brown &
+    Traub, J. ACM 18, 1971)."""
+    g = linalg.primitive(g)
     while g:
-        f, g = g, _poly_divmod(f, g)[1]
-    return _poly_monic(f)
+        r = list(f)  # lead(g)*r - lead(r)*x^j*g until deg r < deg g
+        while len(r) >= len(g):
+            top, j = r.pop(), len(r) - len(g) + 1
+            r = [g[-1] * v for v in r]
+            r[j:] = [x - top * y for x, y in zip(r[j:], g)]
+            while r and r[-1] == 0:
+                r.pop()
+        f, g = g, linalg.primitive(r)
+    return f
 
 
-def _poly_deriv(f):
-    return _poly_norm(tuple(i * f[i] for i in range(1, len(f))))
-
-
-def _poly_eval(f, x):
-    acc = _F0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def _exact_quotient(f, g):
+    """f / g over Z, for a g with leading term +-1 that divides f."""
+    r, dg = list(f), len(g) - 1
+    quot = [0] * (len(f) - dg)
+    for j in reversed(range(len(quot))):
+        quot[j] = v = r[j + dg] * g[-1]
+        r[j : j + dg + 1] = [x - v * y for x, y in zip(r[j:], g)]
+    if any(r):
+        raise CertificationError("squarefree part does not divide the characteristic polynomial")
+    return quot
 
 
 @dataclass(frozen=True)
@@ -112,30 +84,35 @@ def _as_rational_matrix(m) -> RingElem:
     return rationals_matrix(len(rows)).elem(rows)
 
 
+def _spectrum(elem):
+    """(descriptor, s, d) of the rational matrix elem, as char_poly says."""
+    rows, d = elem.payload.num, elem.payload.den
+    c = [ck for ck, _ in linalg.faddeev_leverrier(rows)]
+    n, m0 = len(rows), 0
+    while c[n - m0] == 0:  # c_0 = 1 stops it
+        m0 += 1
+    q = c[n - m0 :: -1]
+    s = _exact_quotient(q, _gcd(q, [i * v for i, v in enumerate(q)][1:]))
+    s, k = s if s[-1] > 0 else [-v for v in s], len(s) - 1
+    desc = SpectrumDescriptor(
+        char_poly=tuple(Fraction(c[n - j], d ** (n - j)) for j in range(n + 1)),
+        reduced=tuple(Fraction(v, d ** (k - i)) for i, v in enumerate(s)),
+        zero_multiplicity=m0,
+    )
+    return desc, s, d
+
+
 def char_poly(m) -> SpectrumDescriptor:
     """Characteristic polynomial det(lambda I - M) via Faddeev-LeVerrier.
 
-    linalg.faddeev_leverrier runs on plain ints, on the numerator d*M of
-    M's payload (d its common denominator), and only its coefficients are
-    read; the coefficient of lambda^(n-k) is then divided by d^k.
+    All polynomial work is over Z, on the monic det(x - N) of N = d*M, d
+    the common denominator of M.  Stripped of its factor x^m0 it is q, and
+    s = q / gcd(q, q') is its squarefree part: q is primitive, so by
+    Gauss's lemma the gcd over Z is the gcd over Q up to sign, and s is
+    monic once its sign is fixed.  The roots of s are d times the nonzero
+    eigenvalues, so reduced(lambda) = s(d lambda) / d^k, k = deg s.
     """
-    elem = _as_rational_matrix(m)
-    rows, d = elem.payload.num, elem.payload.den
-    desc = [c for c, _ in linalg.faddeev_leverrier(rows)]
-    n = len(rows)
-    ascending = _poly_norm(Fraction(desc[n - j], d ** (n - j)) for j in range(n + 1))
-    if len(ascending) != n + 1:
-        raise AssertionError("characteristic polynomial lost its degree")
-    zero_mult = 0
-    while ascending[zero_mult] == 0:
-        zero_mult += 1
-    sf = _poly_divmod(ascending, _poly_gcd(ascending, _poly_deriv(ascending)))[0]
-    sf = _poly_monic(sf)
-    if sf and sf[0] == 0:
-        sf = _poly_norm(sf[1:])  # squarefree, so at most one factor of lambda
-    return SpectrumDescriptor(
-        char_poly=ascending, reduced=sf, zero_multiplicity=zero_mult
-    )
+    return _spectrum(_as_rational_matrix(m))[0]
 
 
 def nonzero_spectrum_equal(m1, m2) -> bool:
@@ -182,27 +159,21 @@ def build_example_triple(n: int) -> TruncatedOperatorTriple:
     return TruncatedOperatorTriple(n=n, a=a, b=b, c=c)
 
 
-def _rational_roots(poly) -> tuple:
-    """All rational roots of a nonzero polynomial over Q, sorted."""
-    if not poly:
-        raise InputError("zero polynomial has every root")
-    if len(poly) == 1:
-        return ()
-    denom_lcm = 1
-    for v in poly:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in poly]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor of x contributes root 0, handled separately
-    lead = abs(ints[-1])
-    const = abs(ints[0])
+def _rational_roots(s, d) -> set:
+    """The rational roots of reduced = s(d lambda)/d^k: the roots p/q of t,
+    the primitive part of s(d lambda), have p | t(0) and q | lead(t).  (The
+    integer roots of s divide s(0) = d^k reduced(0), whose divisors can
+    take sqrt(d^k) trial divisions.)"""
+    t = linalg.primitive([v * d**i for i, v in enumerate(s)])
     roots = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(poly, cand) == 0:
-                    roots.add(cand)
-    return tuple(sorted(roots))
+    for q in _divisors(t[-1]):
+        for r in (r for p in _divisors(t[0]) for r in (p, -p)):
+            value = 0
+            for i, v in enumerate(reversed(t)):  # q^k t(r/q), by Horner
+                value = value * r + v * q**i
+            if value == 0:
+                roots.add(Fraction(r, q))
+    return roots
 
 
 def _divisors(v: int):
@@ -235,8 +206,8 @@ class DrazinSpectrumReport:
 def drazin_spectrum_matrix(m) -> DrazinSpectrumReport:
     elem = _as_rational_matrix(m)
     ctx = elem.ctx
-    desc = char_poly(elem)
-    shifts = set(_rational_roots(desc.reduced))
+    desc, s, d = _spectrum(elem)
+    shifts = _rational_roots(s, d)
     if desc.zero_multiplicity:
         shifts.add(Fraction(0))
     shifts.add(Fraction(1))
