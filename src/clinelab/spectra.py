@@ -93,7 +93,9 @@ def _spectrum(elem):
         m0 += 1
     q = c[n - m0 :: -1]
     s = _exact_quotient(q, _gcd(q, [i * v for i, v in enumerate(q)][1:]))
-    s, k = s if s[-1] > 0 else [-v for v in s], len(s) - 1
+    if s[-1] < 0:
+        s = [-v for v in s]
+    k = len(s) - 1
     desc = SpectrumDescriptor(
         char_poly=tuple(Fraction(c[n - j], d ** (n - j)) for j in range(n + 1)),
         reduced=tuple(Fraction(v, d ** (k - i)) for i, v in enumerate(s)),
@@ -167,12 +169,13 @@ def _rational_roots(s, d) -> set:
     t = linalg.primitive([v * d**i for i, v in enumerate(s)])
     roots = set()
     for q in _divisors(t[-1]):
-        for r in (r for p in _divisors(t[0]) for r in (p, -p)):
-            value = 0
-            for i, v in enumerate(reversed(t)):  # q^k t(r/q), by Horner
-                value = value * r + v * q**i
-            if value == 0:
-                roots.add(Fraction(r, q))
+        for p in _divisors(t[0]):
+            for r in (p, -p):
+                value = 0
+                for i, v in enumerate(reversed(t)):  # q^k t(r/q), by Horner
+                    value = value * r + v * q**i
+                if value == 0:
+                    roots.add(Fraction(r, q))
     return roots
 
 

@@ -397,9 +397,10 @@ def _jordan(blocks):
 
 
 def _spectra_argv(tmp_path, name):
-    """The spectra command line of a pinned case: dense-N compares P·D·Q
-    with Q·D·P, conjugate-N two conjugates with repeated nonzero
-    eigenvalues and a denominator above 1, example-N the truncation."""
+    """The spectra command line of a pinned case: compare-dense-N compares
+    P·D·Q with Q·D·P, compare-conjugate-N two conjugates with repeated
+    nonzero eigenvalues and a denominator above 1, example-N the
+    truncation."""
     kind, n = name.rsplit("-", 1)
     if kind == "example":
         return ["spectra", "example", "--n", n]
