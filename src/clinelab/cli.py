@@ -1,12 +1,18 @@
 """Command-line interface binding all modules.
 
 Exit codes: 0 success, 2 bad input or violated precondition, 3 requested
-inverse does not exist, 4 a sweep hit an identity violation.
+inverse does not exist, 4 a sweep hit an identity violation, 130
+interrupted (SIGINT, Ctrl-C), with the one line `error: interrupted`.
+
+A process builds its parser once (build_parser is cached), so a caller
+that streams many queries through main pays for the argparse tree only
+on the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -194,7 +200,14 @@ def _cmd_explore_example29(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call.
+
+    Every call returns the same object, so callers must not mutate it
+    (set_defaults, add_argument, ...).  parse_args leaves it as it was:
+    each parse fills a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="clinelab",
         description="Exact-arithmetic lab for generalized-inverse transfer identities",
@@ -257,10 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except SweepViolation as exc:
         print(f"violation in {exc.check}: {exc.detail}", file=sys.stderr)
         sys.stderr.write(dumps_canonical({"triple": exc.triple_json}))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import sys
 import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -522,6 +524,13 @@ def sweep(
     )
 
 
+# A pool worker dies on SIGINT, so Ctrl-C ends a parallel sweep at once.
+# Python 3.10's pool hangs at exit when its workers die while it is still
+# writing a block to them (CPython gh-94777), so there a worker ignores
+# SIGINT and Ctrl-C waits for the running blocks to finish.
+_WORKER_SIGINT = signal.SIG_DFL if sys.version_info >= (3, 11) else signal.SIG_IGN
+
+
 def _parallel_scan(ctx, indices, selected, jobs: int):
     """Partition indices into contiguous blocks and scan them in workers.
 
@@ -532,15 +541,27 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     number of workers.  That number is capped at the CPU count: a pool
     starts all its workers at once.  A worker that dies, or raises
     anything outside ClineLabError, ends the sweep with WorkerFailure.
+
+    On Ctrl-C (SIGINT to the process group) the workers end without a
+    traceback (see _WORKER_SIGINT) and the parent's KeyboardInterrupt
+    reaches cli.main.  Blocks not yet started are cancelled by shutdown,
+    inside the pool's own thread: Executor.map would cancel them from
+    this one, and a Python 3.10 or 3.11 pool that then finds its
+    workers dead crashes on those futures and hangs the process at exit.
     """
     workers = min(jobs, os.cpu_count() or 1)
     size = max(len(indices) // (workers * 4), 1)
     tasks = [
         (ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)
     ]
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, _WORKER_SIGINT),
+    )
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_block, tasks))
+        futures = [pool.submit(_scan_block, task) for task in tasks]
+        results = [future.result() for future in futures]
     except ClineLabError:
         raise
     except BrokenProcessPool as exc:
@@ -548,6 +569,8 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     except Exception as exc:
         detail = " ".join(str(exc).split())  # one line, whatever the worker wrote
         raise WorkerFailure(f"a sweep worker failed: {type(exc).__name__}: {detail}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     out = []
     for part in results:
         out.append(part)

@@ -31,6 +31,12 @@ from .rings import (
 )
 
 
+def _shown(text: str, width: int = 40) -> str:
+    """text cut to a short prefix, so that an error line quoting a user
+    literal (or an exception that quotes one) stays one short line."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
 def _parse_rational(v) -> Fraction:
     if isinstance(v, bool):
         raise InputError(f"not a rational entry: {v!r}")
@@ -40,15 +46,17 @@ def _parse_rational(v) -> Fraction:
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational entry {v!r}: {exc}")
-    raise InputError(f"rational entries must be integers or 'p/q' strings, got {v!r}")
+            raise InputError(f"bad rational entry {_shown(repr(v))}: {_shown(str(exc), 80)}")
+    raise InputError(
+        f"rational entries must be integers or 'p/q' strings, got {_shown(repr(v))}"
+    )
 
 
 def _integer(v, what: str) -> int:
     """v if it is an int; a float, bool or string is never truncated or
     coerced into a modulus, a size or a residue."""
     if type(v) is not int:
-        raise InputError(f"{what} must be an integer, got {v!r}")
+        raise InputError(f"{what} must be an integer, got {_shown(repr(v))}")
     return v
 
 
@@ -83,7 +91,7 @@ def element_from_json(obj) -> RingElem:
             return ctx.elem([[_integer(v, "a MatZmod entry") for v in row] for row in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed element literal: {exc}")
-    raise InputError(f"unknown ring type {kind!r}")
+    raise InputError(f"unknown ring type {_shown(repr(kind))}")
 
 
 def _rational_text(p: int, q: int) -> str:

@@ -5,8 +5,11 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -653,3 +656,102 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
     path = tmp_path / "elem.json"
     path.write_text('{"ring": {"type": "Zmod", "n": %s}, "entries": 1}' % digits)
     _assert_quick_input_error(capsys, ["drazin", "compute", "--input", str(path)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["1/" + "7" * 5000, list(range(100000))],
+    ids=["5000-digit-denominator", "list-of-100000-ints"],
+)
+def test_an_error_line_quotes_a_long_literal_by_a_short_prefix(tmp_path, capsys, entry):
+    # the whole literal was echoed: 5,173 bytes and 688,954 bytes of stderr
+    path = _write(tmp_path, "elem.json", {"ring": {"type": "Q"}, "entries": [[entry]]})
+    err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", path])
+    assert len(err.encode()) < 200
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _fresh_cli(argv, no_inverse=False, **popen):
+    """`python -m clinelab argv` in a new interpreter; with no_inverse,
+    drazin_certificate finds no inverse, as in
+    test_drazin_compute_missing_inverse_exit_code."""
+    prelude = ["-m", "clinelab"]
+    if no_inverse:
+        prelude = [
+            "-c",
+            "import runpy, clinelab.cli as cli; cli.drazin_certificate = lambda elem: None; "
+            "runpy.run_module('clinelab', run_name='__main__', alter_sys=True)",
+        ]
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen(
+        [sys.executable, *prelude, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **popen,
+    )
+
+
+def test_one_process_answers_a_command_sequence_as_fresh_processes_do(
+    tmp_path, capsys, monkeypatch
+):
+    # every query reuses the cached parser; a default or an `fn` left
+    # behind by one parse would change what a later query does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    q = _write(tmp_path, "q.json", {"ring": {"type": "Q"}, "entries": [["0", "1"], ["0", "0"]]})
+    bad = _write(tmp_path, "bad.json", {"ring": {"type": "Q"}, "entries": [["1/0"]]})
+    gdrazin = ["drazin", "compute", "--input", q, "--mode", "gdrazin"]
+    steps = [
+        (gdrazin, False, 0),
+        (["drazin", "compute", "--input", q], True, 3),  # --mode left at its default
+        (["drazin", "compute", "--mode", "nope", "--input", q], False, 2),  # usage error
+        (["drazin", "compute", "--input", bad], False, 2),
+        (["spectra", "example", "--n", "4"], False, 0),
+        (gdrazin, False, 0),
+    ]
+    for argv, no_inverse, code in steps:
+        with monkeypatch.context() as patch:
+            if no_inverse:
+                patch.setattr(cli, "drazin_certificate", lambda elem: None)
+            try:
+                got = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                got = exc.code
+        captured = capsys.readouterr()
+        fresh = _fresh_cli(argv, no_inverse)
+        out, err = fresh.communicate(timeout=60)
+        assert (got, captured.out, captured.err) == (fresh.returncode, out, err), argv
+        assert got == code, argv
+
+
+# --- Ctrl-C ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delay", [1.0, 2.0])
+def test_ctrl_c_during_a_parallel_sweep_exits_130_with_one_line(delay):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group; this
+    # sweep starts its pool after about 0.5 s and runs for several seconds
+    argv = ["explore", "sweep", "--ring", "mat2z4", "--mode", "sample", "--seed", "1"]
+    proc = _fresh_cli(argv + ["--count", "300000", "--jobs", "2"], start_new_session=True)
+    try:
+        time.sleep(delay)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert (proc.returncode, err, out) == (130, "error: interrupted\n", "")
+    with pytest.raises(ProcessLookupError):  # no worker outlives the sweep
+        os.killpg(proc.pid, 0)

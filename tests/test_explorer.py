@@ -3,6 +3,9 @@
 import functools
 import hashlib
 import itertools
+import signal
+import sys
+from concurrent.futures import Future
 
 import pytest
 from oracles import index_by_digits, scan_per_triple
@@ -316,20 +319,22 @@ def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
     pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             self.max_workers = max_workers
+            self.initializer = initializer
+            self.initargs = initargs
             self.tasks = []
+            self.cancel_futures = None
             pools.append(self)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            self.tasks.append(task)
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            self.tasks = list(tasks)
-            return [fn(task) for task in self.tasks]
+        def shutdown(self, cancel_futures):
+            self.cancel_futures = cancel_futures
 
     monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
     expected = dumps_canonical(sweep(zmod(6), jobs=1).to_json())
@@ -339,6 +344,12 @@ def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
         assert dumps_canonical(report.to_json()) == expected
         pool = pools[-1]
         assert pool.max_workers == workers
+        # workers die quietly on Ctrl-C (on Python 3.10 they finish their
+        # blocks instead); blocks not yet started are dropped
+        action = signal.SIG_DFL if sys.version_info >= (3, 11) else signal.SIG_IGN
+        assert pool.initializer is signal.signal
+        assert pool.initargs == (signal.SIGINT, action)
+        assert pool.cancel_futures is True
         # 216 triples in blocks of 216 // (4 * workers)
         assert len(pool.tasks) == -(-216 // (216 // (4 * workers)))
 
