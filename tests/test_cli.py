@@ -251,6 +251,30 @@ def test_drazin_compute_rejects_a_modulus_beyond_the_primality_range(tmp_path, c
     assert err.startswith("error:") and "primality" in err
 
 
+# sha256 of the stdout of drazin compute on an element of M_3(Z/4), which
+# is over INDEX_CAP, in each mode; recorded while such rings were searched
+# by a scan of every payload
+_PINNED_M3Z4 = {
+    "drazin": "91521c95e037c5267072d85790c7d8a6bceeda987c8335367da1e8123a52b774",
+    "gdrazin": "d0885abb0307f6a1783592af73d3a87320994a4db10dd77f3b4f47ee1d3ff092",
+}
+
+
+@pytest.mark.parametrize("mode", list(_PINNED_M3Z4))
+def test_drazin_compute_on_an_unindexed_ring_is_pinned(tmp_path, capsys, mode):
+    path = _write(
+        tmp_path,
+        "elem.json",
+        {
+            "ring": {"type": "MatZmod", "n": 4, "size": 3},
+            "entries": [[1, 2, 3], [0, 2, 1], [3, 3, 0]],
+        },
+    )
+    code, out, _ = _run(capsys, ["drazin", "compute", "--input", path, "--mode", mode])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_M3Z4[mode]
+
+
 def test_drazin_compute_on_deeply_nested_json_exits_2(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -189,6 +189,17 @@ def test_mat4z2_sample_sweep_stdout_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_mat2z6_sample_sweep_stdout_is_pinned(capsys):
+    # recorded while M_2(Z/6), over INDEX_CAP and over a composite modulus,
+    # was searched by a scan of every payload
+    from clinelab import cli
+
+    argv = ["explore", "sweep", "--ring", "mat2z6", "--mode", "sample"]
+    assert cli.main(argv + ["--seed", "7", "--count", "2000"]) == 0
+    digest = "df722fc4504ec50045ee12ca3f2e46be7ff7c0c5d5841927f7f77d3eb8e4c293"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # --- the class walk and the check memo against the per-triple oracle ---------
 
 
