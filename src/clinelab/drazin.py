@@ -1,20 +1,20 @@
 """Drazin, group, and g-Drazin inverses with verified certificates.
 
-Two engines compute an inverse.  Elimination works on any square matrix
-over a field, M_n(Q) or M_m(Z/p) with p prime: one Faddeev-LeVerrier pass
-(linalg.faddeev_leverrier) gives the characteristic polynomial x^m q(x),
-q(0) != 0, and with it the inverse as a polynomial in a; the index comes
-from the certificate's core.  Exhaustive search works on any enumerable
-finite ring and doubles as an independent oracle where both apply.  The
-ring alone picks the engine (rings.uses_elimination): the element budget
-only gates a search, and a search over it raises BudgetExceeded.  Every
-certificate is re-verified against the defining equations before it is
-returned; a verification failure raises CertificationError because it can
-only mean a bug.
+The ring alone picks the rule: eliminate over a field, search when
+indexed, power otherwise.  Elimination (M_n(Q), M_m(Z/p)): one
+Faddeev-LeVerrier pass (linalg.faddeev_leverrier) gives the characteristic
+polynomial x^m q(x), q(0) != 0, and with it the inverse as a polynomial in
+a; the index comes from the certificate's core.  Exhaustive search of an
+indexed ring doubles as an oracle where elimination applies too; any other
+finite ring reads a power of a.  The element budget gates the last two,
+which raise BudgetExceeded over it.  Every certificate is re-verified
+against the defining equations before it is returned; a verification
+failure raises CertificationError because it can only mean a bug.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
@@ -161,11 +161,38 @@ def _core_ok(core: RingElem, mode: str) -> bool:
     return is_quasinilpotent(core)
 
 
+def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
+    """The certificate of b = a^(2L - 1) on M_m(Z/n) (Z/n is M_1).
+
+    The powers of a form a finite cyclic semigroup whose period divides
+    |GL_m(Z/n)| and whose index is at most m * e_max (e_max the largest
+    prime exponent of n), so with L = |GL_m(Z/n)| * m * e_max, a^L is
+    idempotent and b is the Drazin inverse (Drazin, Amer. Math. Monthly 65,
+    1958), a polynomial in a.  Quasinilpotent means nilpotent in a finite
+    ring, so b is the g-Drazin inverse too.  |GL_m(Z/p^e)| =
+    p^((e-1)m^2) * prod over i < m of (p^m - p^i), over the prime powers of
+    n; n is within the element budget, so trial division is short.
+    """
+    m, n = a.ctx.size, a.ctx.n
+    order, e_max, p = 1, 1, 2
+    while n > 1:
+        p = p if p * p <= n else n
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            order *= p ** ((e - 1) * m * m) * math.prod(p**m - p**i for i in range(m))
+            e_max = max(e_max, e)
+        p += 1
+    return _build_certificate(a, a ** (2 * order * m * e_max - 1), mode)
+
+
 def _finite_ring_search(a: RingElem, mode: str):
-    """Exhaustive search of comm(a) for the unique inverse of the given mode;
-    never exits early, so the uniqueness of the defining equations is
-    actually exercised.  The search runs once per element; later calls
-    return its certificate (or None) from the ring's cache, after the same
+    """Exhaustive search of comm(a) on an indexed ring for the unique inverse
+    of the given mode, never exiting early, so the uniqueness of the
+    defining equations is actually exercised; any other finite ring is
+    powered (_power_certificate).  Either runs once per element; later
+    calls return its certificate from the ring's cache, after the same
     budget check."""
     ctx = a.ctx
     if not ctx.is_finite_ring:
@@ -173,6 +200,8 @@ def _finite_ring_search(a: RingElem, mode: str):
     require_budget(ctx)
 
     def search():
+        if not ctx.indexed:
+            return _power_certificate(a, mode)
         solutions = [
             b for b in commutant(a) if b * a * b == b and _core_ok(a - a * a * b, mode)
         ]
@@ -191,7 +220,7 @@ def _finite_ring_search(a: RingElem, mode: str):
 
 
 def drazin_finite_ring(a: RingElem):
-    """Exhaustive Drazin-inverse oracle for enumerable finite rings."""
+    """Drazin inverse on a finite ring: exhaustive oracle when indexed."""
     return _finite_ring_search(a, DRAZIN)
 
 
@@ -204,8 +233,8 @@ def gdrazin_finite_ring(a: RingElem):
 def _dispatch(a: RingElem, mode: str):
     """The certificate of a from its ring's engine (rings.uses_elimination).
 
-    An eliminated ring goes to drazin_matrix.  An enumerated ring goes to
-    its memoized search, whose budget check is the only one a lookup
+    An eliminated ring goes to drazin_matrix.  Any other ring goes to its
+    memoized search or power, whose budget check is the only one a lookup
     makes; over the budget it raises BudgetExceeded.
     """
     if a.ctx.eliminated:
@@ -219,7 +248,7 @@ def drazin_certificate(a: RingElem):
 
 
 def gdrazin_certificate(a: RingElem):
-    """g-Drazin inverse; enumerated rings go through the enumerated
+    """g-Drazin inverse; indexed rings go through the enumerated
     quasinilpotency predicate so the generalized notion is tested in its
     own terms rather than collapsed to nilpotency up front."""
     return _dispatch(a, GDRAZIN)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import random
 import signal
-import sys
 import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -524,13 +523,6 @@ def sweep(
     )
 
 
-# A pool worker dies on SIGINT, so Ctrl-C ends a parallel sweep at once.
-# Python 3.10's pool hangs at exit when its workers die while it is still
-# writing a block to them (CPython gh-94777), so there a worker ignores
-# SIGINT and Ctrl-C waits for the running blocks to finish.
-_WORKER_SIGINT = signal.SIG_DFL if sys.version_info >= (3, 11) else signal.SIG_IGN
-
-
 def _parallel_scan(ctx, indices, selected, jobs: int):
     """Partition indices into contiguous blocks and scan them in workers.
 
@@ -542,11 +534,11 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     starts all its workers at once.  A worker that dies, or raises
     anything outside ClineLabError, ends the sweep with WorkerFailure.
 
-    On Ctrl-C (SIGINT to the process group) the workers end without a
-    traceback (see _WORKER_SIGINT) and the parent's KeyboardInterrupt
-    reaches cli.main.  Blocks not yet started are cancelled by shutdown,
-    inside the pool's own thread: Executor.map would cancel them from
-    this one, and a Python 3.10 or 3.11 pool that then finds its
+    On Ctrl-C (SIGINT to the process group) the workers, which take SIGINT's
+    default action, end at once without a traceback, and the parent's
+    KeyboardInterrupt reaches cli.main.  Blocks not yet started are
+    cancelled by shutdown, inside the pool's own thread: Executor.map would
+    cancel them from this one, and a Python 3.11 pool that then finds its
     workers dead crashes on those futures and hangs the process at exit.
     """
     workers = min(jobs, os.cpu_count() or 1)
@@ -557,7 +549,7 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=signal.signal,
-        initargs=(signal.SIGINT, _WORKER_SIGINT),
+        initargs=(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         futures = [pool.submit(_scan_block, task) for task in tasks]

@@ -6,14 +6,12 @@ Three ring families are supported, one context type each:
 * Z/n, the integers modulo n (ZModContext), and
 * M_m(Z/n), square matrices over Z/n (MatrixRingContext).
 
-Z/n and M_m(Z/n) are finite and enumerable.  Questions that quantify over
-a ring (Drazin inverses, quasinilpotency) have two engines: elimination,
-which works on any matrix over a field, and exhaustive enumeration of a
-finite ring.  Each context fixes its engine when it is built, and
-uses_elimination reads it: indexed rings and rings over a non-field are
-enumerated, every other matrix ring over a field (M_n(Q), and M_m(Z/p) over
-INDEX_CAP elements) is eliminated.  The element budget never switches the
-engine; it only gates enumeration, by raising BudgetExceeded.
+Z/n and M_m(Z/n) are finite.  Questions that quantify over a ring (Drazin
+inverses, quasinilpotency) follow one rule per context, fixed when it is
+built: eliminate over a field (M_n(Q), and M_m(Z/p) over INDEX_CAP
+elements; uses_elimination), search when indexed, power otherwise.  Only
+indexed rings enumerate.  The element budget never switches the rule; it
+gates the finite rings that are not eliminated, by raising BudgetExceeded.
 
 Elements are immutable and hashable; arithmetic always returns canonical
 payloads, so structural equality coincides with ring equality.
@@ -28,7 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import add, eq
 
 from . import linalg
@@ -188,6 +185,7 @@ class RingContext:
     is_finite_ring = False
     domain = None  # the entry domain of a matrix ring; None for Z/n
     eliminated = False  # the engine, fixed when the ring is built (uses_elimination)
+    indexed = False  # whether the ring enumerates (FiniteRingContext)
     label = "?"
 
     def __init__(self):
@@ -255,13 +253,6 @@ class RingContext:
                 step = step + step
         return result
 
-    # enumeration interface (finite rings only)
-    def elements(self):
-        raise BudgetExceeded(f"{self.label} is not enumerable")
-
-    def element_by_index(self, i: int) -> RingElem:
-        raise BudgetExceeded(f"{self.label} is not enumerable")
-
     def __repr__(self):
         return self.label
 
@@ -316,7 +307,7 @@ def _power_at_most(base: int, exp: int, bound: int) -> bool:
 
 
 class FiniteRingContext(RingContext):
-    """An enumerable finite ring of n**digits elements, numbered 0..count-1.
+    """A finite ring of n**digits elements, numbered 0..count-1.
 
     Every element is a string of `digits` base-n digits (one for Z/n, the
     m*m entries for M_m(Z/n)), and its number is that string read as an
@@ -329,7 +320,8 @@ class FiniteRingContext(RingContext):
     negations are found by index (_product, _sum, _negation), and so is
     each element's commuting mask, the bitset of the indices of the
     elements that commute with it (_commuting_mask; each family builds it
-    its own way).  Larger rings compute every result on payloads.
+    its own way).  Larger rings compute every result on payloads, and
+    never enumerate.
     """
 
     is_finite_ring = True
@@ -352,10 +344,6 @@ class FiniteRingContext(RingContext):
     def _from_digits(self, digits: tuple):
         """The payload with these base-n digits."""
         raise NotImplementedError
-
-    def _payloads(self):
-        """Every canonical payload, in enumeration order."""
-        return map(self._from_digits, product(range(self.n), repeat=self.digits))
 
     def _payload_at(self, i: int):
         digits = []
@@ -380,7 +368,7 @@ class FiniteRingContext(RingContext):
 
     def _index(self) -> tuple:
         if self._elems is None:
-            payloads = tuple(self._payloads())
+            payloads = tuple(map(self._payload_at, range(self.element_count)))
             self._pos = {p: i for i, p in enumerate(payloads)}
             self._elems = tuple(RingElem(self, p, i) for i, p in enumerate(payloads))
         return self._elems
@@ -392,15 +380,10 @@ class FiniteRingContext(RingContext):
         return elems[self._pos[payload]]
 
     def elements(self):
-        """Every element in enumeration order; above 2^16 elements a lazy
-        iterator, so callers must not keep or reuse it."""
-        if self.indexed:
-            return self._index()
-        if self.element_count <= 2**16:
-            return self.cached(
-                ("elements",), lambda: tuple(map(self._wrap, self._payloads()))
-            )
-        return map(self._wrap, self._payloads())
+        """Every element in enumeration order (indexed rings only)."""
+        if not self.indexed:
+            raise ContextMismatch(f"{self.label} is not indexed, so it is not enumerated")
+        return self._index()
 
     def element_by_index(self, i: int) -> RingElem:
         if not 0 <= i < self.element_count:
@@ -470,9 +453,6 @@ class ZModContext(_ResidueIndex, FiniteRingContext):
 
     def _from_digits(self, digits):
         return digits[0]
-
-    def _payloads(self):
-        return range(self.n)
 
 
 class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
@@ -632,12 +612,12 @@ def require_budget(
     """Raise BudgetExceeded when |ctx|**power exceeds the active budget.
 
     Every count checked against CLINE_LAB_BUDGET goes through here: the
-    elements a finite-ring enumeration visits and the triples of an
-    exhaustive sweep (power 3, default DEFAULT_TRIPLE_BUDGET).  It gates
-    enumeration only; no engine choice reads it.  A count far over the
-    budget is neither built nor printed in full.  The element check of the
-    ring of a running sweep block passes without reading the variable: it
-    was read when the block started.
+    elements of a searched or powered finite ring and the triples of an
+    exhaustive sweep (power 3, default DEFAULT_TRIPLE_BUDGET).  No engine
+    choice reads it.  A count far over the budget is neither built nor
+    printed in full.  The element check of the ring of a running sweep
+    block passes without reading the variable: it was read when the block
+    started.
     """
     if ctx is _block_ring and power == 1 and default == DEFAULT_ENUMERATION_BUDGET:
         return
@@ -671,14 +651,13 @@ def budget_block(ctx: FiniteRingContext):
 
 
 def uses_elimination(ctx: RingContext) -> bool:
-    """The engine rule: elimination (True) or enumeration (False) for ctx.
+    """The engine rule: eliminate over a field (True), else search when
+    indexed and power otherwise (False; drazin._finite_ring_search).
 
-    Elimination needs a matrix over a field; enumeration needs a finite
-    ring, and is kept wherever the ring is indexed, where it is the
-    oracle the elimination engine is diffed against.  So Z/n, M_m(Z/n)
-    with n composite and indexed M_m(Z/p) are enumerated, and M_n(Q) and
-    M_m(Z/p) over INDEX_CAP elements are eliminated.  The answer is fixed
-    when the ring is built and does not depend on the element budget.
+    An indexed ring is searched even over a field, as the oracle the
+    elimination engine is diffed against, so M_n(Q) and M_m(Z/p) over
+    INDEX_CAP elements are eliminated.  The answer is fixed when the ring
+    is built and does not depend on the element budget.
     """
     return ctx.eliminated
 
@@ -765,48 +744,47 @@ def nilpotency(x: RingElem) -> NilpotencyWitness:
     return ctx.cached(("nilpotency", x.payload), compute)
 
 
+def _require_index(ctx: RingContext, caller: str) -> None:
+    """The element budget of a finite ring, then an index (over Q a
+    commutant is an infinite set)."""
+    if ctx.is_finite_ring:
+        require_budget(ctx)
+    if not ctx.indexed:
+        raise ContextMismatch(f"{caller} enumerates its ring; {ctx.label} is not indexed")
+
+
 def commutant(x: RingElem):
-    """comm(x), the elements that commute with x, in enumeration order
-    (finite rings only: over Q it is an infinite set).  An indexed ring
-    reads it off x's commuting mask."""
+    """comm(x), the elements that commute with x, in enumeration order,
+    read off x's commuting mask (indexed rings only)."""
     ctx = x.ctx
-    if not ctx.is_finite_ring:
-        raise ContextMismatch(f"commutant enumerates its ring; {ctx.label} is infinite")
-    require_budget(ctx)
-    if x.idx is not None:
-        mask = ctx._commuting_mask(x.idx)
-        return tuple(y for y in ctx._elems if mask >> y.idx & 1)
-
-    def compute():
-        return tuple(y for y in ctx.elements() if x * y == y * x)
-
-    return ctx.cached(("commutant", x.payload), compute)
+    _require_index(ctx, "commutant")
+    mask = ctx._commuting_mask(x.idx)
+    return tuple(y for y in ctx._elems if mask >> y.idx & 1)
 
 
 def in_double_commutant(b: RingElem, a: RingElem) -> bool:
-    """Whether b commutes with everything that commutes with a.  In an
-    indexed ring: whether every bit of a's commuting mask is set in b's."""
+    """Whether b commutes with everything that commutes with a: whether
+    every bit of a's commuting mask is set in b's (indexed rings only)."""
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ContextMismatch("double-commutant test needs a common ring")
-    if a.idx is not None:
-        require_budget(ctx)
-        return ctx._commuting_mask(a.idx) & ~ctx._commuting_mask(b.idx) == 0
-    return all(b * y == y * b for y in commutant(a))
+    _require_index(ctx, "in_double_commutant")
+    return ctx._commuting_mask(a.idx) & ~ctx._commuting_mask(b.idx) == 0
 
 
 def is_quasinilpotent(x: RingElem) -> bool:
     """Whether 1 + yx is a unit for every y commuting with x.
 
-    Enumerated rings decide the quantifier over the commutant.  On an
-    eliminated ring, a matrix ring over a field, quasinilpotent means
-    nilpotent (Koliha, Glasgow Math. J. 38, 1996), and it is answered that
-    way, with no enumeration and no budget check.
+    Indexed rings decide the quantifier over the commutant.  On any other
+    ring, over a field or finite, quasinilpotent means nilpotent (Koliha,
+    Glasgow Math. J. 38, 1996), and is answered so, with no enumeration and,
+    when eliminated, no budget check.
     """
     ctx = x.ctx
-    if ctx.eliminated:
+    if not ctx.eliminated:
+        require_budget(ctx)
+    if not ctx.indexed:
         return nilpotency(x).is_nilpotent
-    require_budget(ctx)
 
     def compute():
         one = ctx.one()

@@ -5,8 +5,9 @@ double-commutant membership over Q by a polynomial witness, reads the
 Drazin inverse off the characteristic polynomial and its index off the
 certificate's core, numbers
 finite-ring elements through their index, bounds nilpotency tests by the
-index bound, and sweeps by hypothesis class with each check run once per
-distinct input; these helpers recompute each by another route.
+index bound, reads the Drazin inverse of a finite ring over INDEX_CAP off
+a power of the element, and sweeps by hypothesis class with each check run
+once per distinct input; these helpers recompute each by another route.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from clinelab import explorer, linalg
 from clinelab.cline import check_hypothesis
 from clinelab.errors import CertificationError, MissingInverse
-from clinelab.rings import RingElem
+from clinelab.rings import RingElem, is_unit
 from clinelab.serialize import triple_to_json
 
 
@@ -141,6 +142,31 @@ def nilpotency_by_repeat(x: RingElem):
         if p.payload in seen:
             return False, None
         seen.add(p.payload)
+
+
+def inverse_by_payload_scan(a: RingElem, mode: str) -> RingElem:
+    """The unique Drazin (mode "drazin") or g-Drazin inverse of a in its
+    finite ring by a scan of every payload, as rings over INDEX_CAP were
+    searched before they were powered: the b in comm(a) with bab = b whose
+    core a - a^2 b is nilpotent, or quasinilpotent by definition (1 + yx a
+    unit for every y in comm(x)).  It must be the only one, and in the
+    double commutant of a."""
+    ctx = a.ctx
+    ring = [ctx._wrap(ctx._payload_at(i)) for i in range(ctx.element_count)]
+    one = ctx.one()
+
+    def comm(x):
+        return [y for y in ring if x * y == y * x]
+
+    def core_ok(x):
+        if mode == "drazin":
+            return nilpotency_by_repeat(x)[0]
+        return all(is_unit(one + y * x) for y in comm(x))
+
+    comm_a = comm(a)
+    (b,) = [b for b in comm_a if b * a * b == b and core_ok(a - a * a * b)]
+    assert all(b * y == y * b for y in comm_a)
+    return b
 
 
 def inner_inverse(dom, a):

@@ -11,6 +11,7 @@ from oracles import (
     drazin_by_inner_inverse,
     in_double_commutant_by_basis,
     index_profile,
+    inverse_by_payload_scan,
     rank_profile,
 )
 
@@ -34,6 +35,7 @@ from clinelab import (
     uses_elimination,
     zmod,
 )
+from clinelab.drazin import _power_certificate
 from clinelab.linalg import QQ, inverse
 from clinelab.serialize import certificate_to_json, dumps_canonical
 from clinelab.spectra import char_poly
@@ -341,6 +343,72 @@ def test_eliminated_lookups_never_enumerate(monkeypatch):
             assert cert.core_quasinilpotent in (None, True)
             _check_defining_equations(cert)
         assert is_quasinilpotent(x) == nilpotency(x).is_nilpotent
+
+
+# --- powering: the finite rings that are neither indexed nor eliminated ------
+
+_SEARCHES = (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring))
+
+
+@pytest.mark.parametrize(
+    "ring", [Z8, zmod(360), matrix_ring(3, 2), matrix_ring(4, 2), matrix_ring(2, 3)], ids=repr
+)
+def test_powering_equals_the_search_on_every_element_of_indexed_rings(ring):
+    # the power rule called directly where the exhaustive search still runs:
+    # the whole certificate must match, index and core witnesses included
+    for e in ring.elements():
+        for mode, search in _SEARCHES:
+            assert _power_certificate(e, mode) == search(e)
+
+
+@pytest.mark.parametrize(
+    "ring, extra",
+    [(matrix_ring(6, 2), [[2, 1], [0, 2]]), (zmod(1500), 10)],
+    ids=["M2(Z/6)", "Z/1500"],
+)
+def test_powering_equals_the_payload_scan_on_unindexed_rings(ring, extra):
+    # extra is a unit at one prime of the modulus and nilpotent of index 2
+    # or 3 at another, so its inverse is neither 0 nor a two-sided inverse
+    assert not ring.indexed and not uses_elimination(ring)
+    sample = random.Random(25).sample(range(ring.element_count), 20)
+    indices = set()
+    for a in [ring.element_by_index(i) for i in sample] + [ring.elem(extra)]:
+        for mode, search in _SEARCHES:
+            cert = search(a)
+            assert cert.inverse == inverse_by_payload_scan(a, mode)
+            _check_defining_equations(cert)
+            indices.add(cert.index)
+    assert {0, 1} < indices
+
+
+def test_unindexed_lookups_never_enumerate(monkeypatch):
+    # over INDEX_CAP a ring over a composite modulus is powered: no
+    # certificate and no quasinilpotency flag scans it, however large
+    from clinelab import drazin, rings
+
+    def no_scan(*args):
+        raise AssertionError("ring scan on an unindexed ring")
+
+    monkeypatch.setattr(drazin, "commutant", no_scan)
+    monkeypatch.setattr(drazin, "in_double_commutant", no_scan)
+    monkeypatch.setattr(rings, "commutant", no_scan)
+    for ring in (matrix_ring(6, 2), matrix_ring(4, 3), zmod(360360)):
+        for i in random.Random(3).sample(range(ring.element_count), 20):
+            x = ring.element_by_index(i)
+            for compute in (drazin_certificate, gdrazin_certificate):
+                _check_defining_equations(compute(x))
+            assert is_quasinilpotent(x) == nilpotency(x).is_nilpotent
+
+
+def test_powered_lookups_keep_the_budget_gate(monkeypatch):
+    x = matrix_ring(6, 2).elem([[2, 1], [0, 2]])
+    first = (drazin_certificate(x), gdrazin_certificate(x))
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "1295")
+    for fn in (drazin_certificate, gdrazin_certificate, is_quasinilpotent):
+        with pytest.raises(BudgetExceeded, match="M2\\(Z/6\\) has 1296 elements"):
+            fn(x)
+    monkeypatch.setenv("CLINE_LAB_BUDGET", "1296")
+    assert (drazin_certificate(x), gdrazin_certificate(x)) == first
 
 
 # --- group inverse -----------------------------------------------------------

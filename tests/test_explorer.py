@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import signal
-import sys
 from concurrent.futures import Future
 
 import pytest
@@ -355,11 +354,9 @@ def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
         assert dumps_canonical(report.to_json()) == expected
         pool = pools[-1]
         assert pool.max_workers == workers
-        # workers die quietly on Ctrl-C (on Python 3.10 they finish their
-        # blocks instead); blocks not yet started are dropped
-        action = signal.SIG_DFL if sys.version_info >= (3, 11) else signal.SIG_IGN
+        # workers die quietly on Ctrl-C; blocks not yet started are dropped
         assert pool.initializer is signal.signal
-        assert pool.initargs == (signal.SIGINT, action)
+        assert pool.initargs == (signal.SIGINT, signal.SIG_DFL)
         assert pool.cancel_futures is True
         # 216 triples in blocks of 216 // (4 * workers)
         assert len(pool.tasks) == -(-216 // (216 // (4 * workers)))

@@ -471,13 +471,31 @@ def test_index_is_built_on_first_use():
     assert len(ring._elems) == 81 and ring._products is None
 
 
-@pytest.mark.parametrize("ring", [M2Z2, matrix_ring(6, 2), zmod(1500)])
+@pytest.mark.parametrize("ring", [M2Z2])
 def test_enumeration_agrees_with_element_by_index(ring):
-    # indexed rings enumerate through the index, larger ones on payloads
+    # indexed rings enumerate through the index
     for i, e in enumerate(ring.elements()):
         assert ring.element_by_index(i) == e
         assert index_by_digits(ring, e) == i
     assert i == ring.element_count - 1
+
+
+@pytest.mark.parametrize("ring", [matrix_ring(6, 2), zmod(1500)], ids=repr)
+def test_unindexed_rings_number_their_elements_but_do_not_enumerate(ring):
+    # over INDEX_CAP element_by_index reads the digits of an index, and no
+    # enumerating predicate accepts the ring
+    assert not ring.indexed
+    last = ring.element_count - 1
+    for i in random.Random(1500).sample(range(ring.element_count), 60) + [0, last]:
+        e = ring.element_by_index(i)
+        assert e.idx is None and index_by_digits(ring, e) == i
+    x = ring.element_by_index(7)
+    with pytest.raises(ContextMismatch):
+        ring.elements()
+    with pytest.raises(ContextMismatch):
+        commutant(x)
+    with pytest.raises(ContextMismatch):
+        in_double_commutant(x, x)
 
 
 @pytest.mark.parametrize("ring", [zmod(12), matrix_ring(3, 2)])
