@@ -65,16 +65,13 @@ from .rings import (
     nilpotency,
     rationals_matrix,
     try_inverse,
-    uses_elimination,
     zmod,
 )
 from .spectra import (
-    DrazinSpectrumReport,
     SpectrumDescriptor,
     TruncatedOperatorTriple,
     build_example_triple,
     char_poly,
-    drazin_spectrum_matrix,
     nonzero_spectrum_equal,
 )
 

@@ -58,13 +58,15 @@ def _parse_ring(text: str):
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except RecursionError:
-            raise InputError(f"{path}: JSON nested too deeply")
-        except ValueError as exc:  # not JSON, not UTF-8, or past the int digit limit
-            raise InputError(f"{path}: {exc}")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise InputError(str(exc))
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
+    except ValueError as exc:  # not JSON, not UTF-8, or past the int digit limit
+        raise InputError(f"{path}: {exc}")
 
 
 def _emit(obj) -> None:
@@ -281,9 +283,6 @@ def main(argv=None) -> int:
         sys.stderr.write(dumps_canonical({"triple": exc.triple_json}))
         return 4
     except ClineLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

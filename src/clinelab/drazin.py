@@ -231,7 +231,7 @@ def gdrazin_finite_ring(a: RingElem):
 
 
 def _dispatch(a: RingElem, mode: str):
-    """The certificate of a from its ring's engine (rings.uses_elimination).
+    """The certificate of a from its ring's engine (RingContext.eliminated).
 
     An eliminated ring goes to drazin_matrix.  Any other ring goes to its
     memoized search or power, whose budget check is the only one a lookup

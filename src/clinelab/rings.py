@@ -9,9 +9,10 @@ Three ring families are supported, one context type each:
 Z/n and M_m(Z/n) are finite.  Questions that quantify over a ring (Drazin
 inverses, quasinilpotency) follow one rule per context, fixed when it is
 built: eliminate over a field (M_n(Q), and M_m(Z/p) over INDEX_CAP
-elements; uses_elimination), search when indexed, power otherwise.  Only
-indexed rings enumerate.  The element budget never switches the rule; it
-gates the finite rings that are not eliminated, by raising BudgetExceeded.
+elements; RingContext.eliminated), search when indexed, power
+otherwise.  Only indexed rings enumerate.  The element budget never
+switches the rule; it gates the finite rings that are not eliminated, by
+raising BudgetExceeded.
 
 Elements are immutable and hashable; arithmetic always returns canonical
 payloads, so structural equality coincides with ring equality.
@@ -184,7 +185,13 @@ class RingContext:
 
     is_finite_ring = False
     domain = None  # the entry domain of a matrix ring; None for Z/n
-    eliminated = False  # the engine, fixed when the ring is built (uses_elimination)
+    eliminated = False
+    """The engine rule, fixed when the ring is built and independent of the
+    element budget: eliminate over a field (True), else search when indexed
+    and power otherwise (False; drazin._finite_ring_search).  An indexed
+    ring is searched even over a field, as the oracle the elimination
+    engine is diffed against, so M_n(Q) and M_m(Z/p) over INDEX_CAP
+    elements are eliminated."""
     indexed = False  # whether the ring enumerates (FiniteRingContext)
     label = "?"
 
@@ -648,18 +655,6 @@ def budget_block(ctx: FiniteRingContext):
         yield
     finally:
         _block_ring = previous
-
-
-def uses_elimination(ctx: RingContext) -> bool:
-    """The engine rule: eliminate over a field (True), else search when
-    indexed and power otherwise (False; drazin._finite_ring_search).
-
-    An indexed ring is searched even over a field, as the oracle the
-    elimination engine is diffed against, so M_n(Q) and M_m(Z/p) over
-    INDEX_CAP elements are eliminated.  The answer is fixed when the ring
-    is built and does not depend on the element budget.
-    """
-    return ctx.eliminated
 
 
 def _det(x: RingElem) -> int:

@@ -72,6 +72,8 @@ def element_from_json(obj) -> RingElem:
         if kind == "Q":
             if not isinstance(entries, list) or not entries:
                 raise InputError("Q matrices need a nonempty entry array")
+            if not all(isinstance(row, list) for row in entries):
+                raise InputError("Q matrix rows must be arrays")
             rows = [[_parse_rational(v) for v in row] for row in entries]
             if any(len(r) != len(rows) for r in rows):
                 raise InputError("Q matrices must be square")

@@ -8,11 +8,6 @@ polynomials agree after every factor of lambda is removed.  That is a
 structural comparison of exact polynomials; no root-finding and no
 algebraic-number arithmetic is ever needed.  The polynomials are over Z
 (see char_poly); only the outputs are Fractions.
-
-Drazin and g-Drazin spectra are empty for finite matrices (every square
-matrix over a field has a Drazin inverse); drazin_spectrum_matrix returns
-the empty set together with verified certificates at sample shifts to
-document that emptiness rather than assume it.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .drazin import drazin_matrix
 from .errors import CertificationError, ContextMismatch, InputError, ReadingValidationError
 from .rings import MatrixContext, RingElem, rationals_matrix
 
@@ -84,26 +78,6 @@ def _as_rational_matrix(m) -> RingElem:
     return rationals_matrix(len(rows)).elem(rows)
 
 
-def _spectrum(elem):
-    """(descriptor, s, d) of the rational matrix elem, as char_poly says."""
-    rows, d = elem.payload.num, elem.payload.den
-    c = [ck for ck, _ in linalg.faddeev_leverrier(rows)]
-    n, m0 = len(rows), 0
-    while c[n - m0] == 0:  # c_0 = 1 stops it
-        m0 += 1
-    q = c[n - m0 :: -1]
-    s = _exact_quotient(q, _gcd(q, [i * v for i, v in enumerate(q)][1:]))
-    if s[-1] < 0:
-        s = [-v for v in s]
-    k = len(s) - 1
-    desc = SpectrumDescriptor(
-        char_poly=tuple(Fraction(c[n - j], d ** (n - j)) for j in range(n + 1)),
-        reduced=tuple(Fraction(v, d ** (k - i)) for i, v in enumerate(s)),
-        zero_multiplicity=m0,
-    )
-    return desc, s, d
-
-
 def char_poly(m) -> SpectrumDescriptor:
     """Characteristic polynomial det(lambda I - M) via Faddeev-LeVerrier.
 
@@ -114,7 +88,22 @@ def char_poly(m) -> SpectrumDescriptor:
     monic once its sign is fixed.  The roots of s are d times the nonzero
     eigenvalues, so reduced(lambda) = s(d lambda) / d^k, k = deg s.
     """
-    return _spectrum(_as_rational_matrix(m))[0]
+    elem = _as_rational_matrix(m)
+    rows, d = elem.payload.num, elem.payload.den
+    c = [ck for ck, _ in linalg.faddeev_leverrier(rows)]
+    n, m0 = len(rows), 0
+    while c[n - m0] == 0:  # c_0 = 1 stops it
+        m0 += 1
+    q = c[n - m0 :: -1]
+    s = _exact_quotient(q, _gcd(q, [i * v for i, v in enumerate(q)][1:]))
+    if s[-1] < 0:
+        s = [-v for v in s]
+    k = len(s) - 1
+    return SpectrumDescriptor(
+        char_poly=tuple(Fraction(c[n - j], d ** (n - j)) for j in range(n + 1)),
+        reduced=tuple(Fraction(v, d ** (k - i)) for i, v in enumerate(s)),
+        zero_multiplicity=m0,
+    )
 
 
 def nonzero_spectrum_equal(m1, m2) -> bool:
@@ -159,67 +148,3 @@ def build_example_triple(n: int) -> TruncatedOperatorTriple:
             f"ABA != ACA at truncation {n}; the coordinate reading is wrong"
         )
     return TruncatedOperatorTriple(n=n, a=a, b=b, c=c)
-
-
-def _rational_roots(s, d) -> set:
-    """The rational roots of reduced = s(d lambda)/d^k: the roots p/q of t,
-    the primitive part of s(d lambda), have p | t(0) and q | lead(t).  (The
-    integer roots of s divide s(0) = d^k reduced(0), whose divisors can
-    take sqrt(d^k) trial divisions.)"""
-    t = linalg.primitive([v * d**i for i, v in enumerate(s)])
-    roots = set()
-    for q in _divisors(t[-1]):
-        for p in _divisors(t[0]):
-            for r in (p, -p):
-                value = 0
-                for i, v in enumerate(reversed(t)):  # q^k t(r/q), by Horner
-                    value = value * r + v * q**i
-                if value == 0:
-                    roots.add(Fraction(r, q))
-    return roots
-
-
-def _divisors(v: int):
-    v = abs(v)
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            if d != v // d:
-                out.append(v // d)
-        d += 1
-    return sorted(out)
-
-
-@dataclass(frozen=True)
-class DrazinSpectrumReport:
-    """The (empty) Drazin spectrum of a matrix, with evidence.
-
-    For each sample shift lambda (rational eigenvalues, 0 when present,
-    and 1 as a generic fallback) a verified Drazin certificate of
-    lambda - M is attached, witnessing that no scalar is excluded.
-    """
-
-    spectrum: frozenset
-    descriptor: SpectrumDescriptor
-    shift_certificates: tuple  # ((Fraction, DrazinCertificate), ...)
-
-
-def drazin_spectrum_matrix(m) -> DrazinSpectrumReport:
-    elem = _as_rational_matrix(m)
-    ctx = elem.ctx
-    desc, s, d = _spectrum(elem)
-    shifts = _rational_roots(s, d)
-    if desc.zero_multiplicity:
-        shifts.add(Fraction(0))
-    shifts.add(Fraction(1))
-    certs = []
-    for lam in sorted(shifts):
-        shifted = ctx.elem(
-            [[lam if i == j else 0 for j in range(ctx.n)] for i in range(ctx.n)]
-        ) - elem
-        certs.append((lam, drazin_matrix(shifted)))
-    return DrazinSpectrumReport(
-        spectrum=frozenset(), descriptor=desc, shift_certificates=tuple(certs)
-    )

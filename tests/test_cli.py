@@ -119,6 +119,11 @@ def test_power_edge_cases():
 def test_bad_literals_rejected():
     with pytest.raises(InputError):
         element_from_json({"ring": {"type": "Q"}, "entries": [[1, 2], [3]]})
+    # rows that are strings or objects were read as their characters or keys
+    with pytest.raises(InputError, match="rows must be arrays"):
+        element_from_json({"ring": {"type": "Q"}, "entries": ["12", "34"]})
+    with pytest.raises(InputError, match="rows must be arrays"):
+        element_from_json({"ring": {"type": "Q"}, "entries": [{"1": 0, "2": 0}, {"3": 0, "4": 0}]})
     with pytest.raises(InputError):
         element_from_json({"ring": {"type": "What"}, "entries": [[1]]})
     with pytest.raises(InputError):
@@ -672,6 +677,15 @@ def test_modular_literals_take_only_integers(tmp_path, capsys, ring, entries, me
     path = _write(tmp_path, "elem.json", {"ring": ring, "entries": entries})
     err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", path])
     assert err == f"error: {message}\n"
+
+
+def test_an_input_that_cannot_be_read_exits_2(tmp_path, capsys):
+    # a directory raised IsADirectoryError out of cli.main, with a traceback
+    missing = str(tmp_path / "missing.json")
+    err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", missing])
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    err = _assert_quick_input_error(capsys, ["drazin", "compute", "--input", str(tmp_path)])
+    assert "Is a directory" in err
 
 
 def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):

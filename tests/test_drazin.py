@@ -32,7 +32,6 @@ from clinelab import (
     nilpotency,
     example_29_triple,
     rationals_matrix,
-    uses_elimination,
     zmod,
 )
 from clinelab.drazin import _power_certificate
@@ -290,7 +289,7 @@ def test_certificate_json_is_the_same_from_both_engines():
     # searched, and drazin_matrix eliminates over F_p on the same elements
     for p, count in ((3, 81), (5, 625)):
         ring = matrix_ring(p, 2)
-        assert not uses_elimination(ring)
+        assert not ring.eliminated
         for e in ring.elements():
             for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
                 assert dumps_canonical(certificate_to_json(drazin_matrix(e, mode))) == (
@@ -369,7 +368,7 @@ def test_powering_equals_the_search_on_every_element_of_indexed_rings(ring):
 def test_powering_equals_the_payload_scan_on_unindexed_rings(ring, extra):
     # extra is a unit at one prime of the modulus and nilpotent of index 2
     # or 3 at another, so its inverse is neither 0 nor a two-sided inverse
-    assert not ring.indexed and not uses_elimination(ring)
+    assert not ring.indexed and not ring.eliminated
     sample = random.Random(25).sample(range(ring.element_count), 20)
     indices = set()
     for a in [ring.element_by_index(i) for i in sample] + [ring.elem(extra)]:
@@ -528,7 +527,7 @@ def _pinned_elements(family):
         return [_dense_of_index(rng, n, k) for n in (6, 12, 16) for k in (1, 2, 3)]
     size, p = {"m4z2": (4, 2), "m3z3": (3, 3), "m2z7": (2, 7)}[family]
     ring = matrix_ring(p, size)
-    assert uses_elimination(ring)
+    assert ring.eliminated
     return [
         ring.elem([[rng.randrange(p) for _ in range(size)] for _ in range(size)])
         for _ in range(24)

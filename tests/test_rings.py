@@ -30,7 +30,6 @@ from clinelab import (
     rationals_matrix,
     sweep,
     try_inverse,
-    uses_elimination,
     zmod,
 )
 from clinelab.linalg import ModularDomain, is_prime, rank
@@ -678,8 +677,8 @@ def test_uses_elimination_on_each_ring_family(monkeypatch):
     for budget in (None, "10", "80", "81", "2401", str(2**40)):
         if budget is not None:
             monkeypatch.setenv("CLINE_LAB_BUDGET", budget)
-        assert [uses_elimination(ring) for ring in enumerated] == [False] * len(enumerated)
-        assert [uses_elimination(ring) for ring in eliminated] == [True] * len(eliminated)
+        assert [ring.eliminated for ring in enumerated] == [False] * len(enumerated)
+        assert [ring.eliminated for ring in eliminated] == [True] * len(eliminated)
 
 
 def test_huge_rings_are_built_and_gated_without_their_counts():
@@ -687,7 +686,7 @@ def test_huge_rings_are_built_and_gated_without_their_counts():
     # check may build that integer, and the message names it as a power
     ring = matrix_ring(3, 2000)
     assert not ring.indexed and ring._count is None
-    assert uses_elimination(ring)
+    assert ring.eliminated
     with pytest.raises(BudgetExceeded, match=r"M2000\(Z/3\) has 3\^4000000 elements"):
         commutant(ring.zero())
     assert ring._count is None

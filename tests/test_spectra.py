@@ -1,7 +1,6 @@
 """Characteristic polynomials, squarefree reduction, operator truncations."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from clinelab import (
     build_example_triple,
     char_poly,
     check_hypothesis,
-    drazin_spectrum_matrix,
     nonzero_spectrum_equal,
     rationals_matrix,
     try_inverse,
@@ -198,6 +196,26 @@ def test_char_poly_rejects_bad_input():
         char_poly([])
 
 
+def test_char_poly_costs_one_faddeev_leverrier_pass(monkeypatch):
+    calls = []
+    kernel = linalg.faddeev_leverrier
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "faddeev_leverrier", counted)
+    for rows in (
+        [[3, 1], [0, 7]],
+        [["1/2", "1/3", 0], [0, "-2/3", 0], [0, 0, "1/2"]],
+        [[0, 1], [0, 0]],
+        [[0, 0], [0, 0]],
+    ):
+        calls.clear()
+        char_poly(rationals_matrix(len(rows)).elem(rows))
+        assert calls == [len(rows)]
+
+
 # --- nonzero spectrum comparison ---------------------------------------------
 
 
@@ -263,54 +281,6 @@ def test_truncation_nonzero_spectra_match(n):
     assert nonzero_spectrum_equal(t.a * t.c, t.c * t.a)
 
 
-# --- Drazin spectrum at matrix scale -----------------------------------------
-
-
-def test_drazin_spectrum_is_empty_for_matrices(monkeypatch):
-    calls = []
-    kernel = linalg.faddeev_leverrier
-
-    def counted(rows):
-        calls.append(len(rows))
-        return kernel(rows)
-
-    monkeypatch.setattr(linalg, "faddeev_leverrier", counted)
-    for rows, shifts in (
-        ([[3, 1], [0, 7]], (1, 3, 7)),
-        ([["1/2", "1/3", 0], [0, "-2/3", 0], [0, 0, "1/2"]], (Fraction(-2, 3), Fraction(1, 2), 1)),
-        ([[0, 1], [0, 0]], (0, 1)),
-        ([[0, 0], [0, 0]], (0, 1)),
-    ):
-        calls.clear()
-        rep = drazin_spectrum_matrix(rationals_matrix(len(rows)).elem(rows))
-        assert rep.spectrum == frozenset()
-        assert tuple(lam for lam, _ in rep.shift_certificates) == shifts
-        # one pass for the descriptor, then one per shift certificate
-        assert len(calls) == 1 + len(shifts)
-
-
-def test_rational_shifts_with_a_large_denominator_are_quick():
-    # d = 36470617412 and s(0) ~ 2.4e31 for the eigenvalues 1, -1, 1/2: the
-    # divisors of s(0) would take ~5e15 trial divisions, those of the
-    # primitive part of reduced a handful
-    ctx = rationals_matrix(3)
-    p = ctx.elem([["1/7919", "2/3", 0], ["1/3", 1, "5/104729"], [0, "-1/11", 1]])
-    m = p * ctx.elem([[1, 0, 0], [0, -1, 0], [0, 0, "1/2"]]) * try_inverse(p)
-    assert m.payload.den == 36470617412
-
-    def too_slow(signum, frame):
-        pytest.fail("drazin_spectrum_matrix still running after 5 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
-        rep = drazin_spectrum_matrix(m)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert [lam for lam, _ in rep.shift_certificates] == [-1, Fraction(1, 2), 1]
-
-
 def test_a_failed_exact_division_is_a_certification_error(monkeypatch, tmp_path, capsys):
     with pytest.raises(CertificationError):
         spectra._exact_quotient([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
@@ -323,15 +293,3 @@ def test_a_failed_exact_division_is_a_certification_error(monkeypatch, tmp_path,
     assert cli.main(["spectra", "compare", "--m1", str(path), "--m2", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-
-
-def test_drazin_spectrum_of_truncated_product_certifies_shift_one():
-    t = build_example_triple(8)
-    rep = drazin_spectrum_matrix(t.a * t.c)
-    shifts = [lam for lam, _ in rep.shift_certificates]
-    assert Fraction(1) in shifts and Fraction(0) in shifts
-    n = t.n
-    for lam, cert in rep.shift_certificates:
-        ctx = cert.element.ctx
-        lam_diag = ctx.elem([[lam if i == j else 0 for j in range(n)] for i in range(n)])
-        assert cert.element == lam_diag - t.a * t.c
