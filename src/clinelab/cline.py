@@ -16,7 +16,7 @@ ring's engine (elimination or exhaustive search) verified in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .drazin import (
     DRAZIN,
@@ -45,8 +45,7 @@ FORWARD = "forward"  # (ba) -> (ac)
 BACKWARD = "backward"  # (ac) -> (ba)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """The four quintic products and which of their equalities hold.
 
     pairwise lists (p1,p2), (p1,p3), (p1,p4), (p2,p3), (p2,p4), (p3,p4).
@@ -60,8 +59,7 @@ class HypothesisReport:
     pairwise: tuple[bool, bool, bool, bool, bool, bool]
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Certificates on both sides of a transfer, plus the direction used."""
 
     source: DrazinCertificate

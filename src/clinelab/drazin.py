@@ -15,9 +15,9 @@ failure raises CertificationError because it can only mean a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch
@@ -35,8 +35,7 @@ DRAZIN = "drazin"
 GDRAZIN = "gdrazin"
 
 
-@dataclass(frozen=True)
-class DrazinCertificate:
+class DrazinCertificate(NamedTuple):
     """A verified inverse with its index and core witness.
 
     A certificate is built only after bab = b, ab = ba and double-commutant

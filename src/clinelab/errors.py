@@ -40,8 +40,8 @@ class InputError(ClineLabError):
 
 class WorkerFailure(ClineLabError):
     """A parallel sweep's worker process died, or raised an exception from
-    outside this hierarchy; the message is one line, and the original
-    exception is chained as the cause."""
+    outside this hierarchy; the message is one line, naming that
+    exception's type and message."""
 
 
 class SweepViolation(ClineLabError):

@@ -17,10 +17,8 @@ import random
 import signal
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .cline import (
     BACKWARD,
@@ -196,8 +194,7 @@ _CHECKS = {
 }
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Deterministic record of one sweep.
 
     elapsed_seconds is informational only and deliberately excluded from
@@ -217,21 +214,12 @@ class SweepReport:
     elapsed_seconds: float = 0.0
 
     def to_json(self) -> dict:
-        out = {
-            "ring": self.ring,
-            "mode": self.mode,
-            "theorems": list(self.theorems),
-            "triples_total": self.triples_total,
-            "triples_hypothesis": self.triples_hypothesis,
-            "triples_strong": self.triples_strong,
-            "counters": {
-                name: dict(vals) for name, vals in sorted(self.counters.items())
-            },
-            "separations_found": self.separations_found,
-        }
-        if self.mode == "sample":
-            out["seed"] = self.seed
-            out["requested"] = self.requested
+        out = self._asdict()
+        del out["elapsed_seconds"]
+        if self.mode != "sample":
+            del out["seed"], out["requested"]
+        out["theorems"] = list(self.theorems)
+        out["counters"] = {name: dict(vals) for name, vals in sorted(self.counters.items())}
         return out
 
 
@@ -266,16 +254,9 @@ def _sample_space(ctx: RingContext) -> int:
 
 
 def _triple_by_index(ctx: RingContext, idx: int):
-    count = ctx.element_count
-    ci = idx % count
-    rest = idx // count
-    bi = rest % count
-    ai = rest // count
-    return (
-        ctx.element_by_index(ai),
-        ctx.element_by_index(bi),
-        ctx.element_by_index(ci),
-    )
+    rest, ci = divmod(idx, ctx.element_count)
+    ai, bi = divmod(rest, ctx.element_count)
+    return ctx.element_by_index(ai), ctx.element_by_index(bi), ctx.element_by_index(ci)
 
 
 def _class_walk(ctx, block: range):
@@ -442,8 +423,7 @@ def _scan_indices(ctx, indices, selected):
 
 
 def _scan_block(args):
-    """Pool worker: scan one block of triple indices (a range or a list);
-    the task's ring pickles as its factory call, e.g. matrix_ring(4, 2)."""
+    """Worker entry: _scan_indices on a (ring, block, selected) task."""
     return _scan_indices(*args)
 
 
@@ -506,8 +486,7 @@ def sweep(
             counters[name]["passed"] += part["counters"][name]["passed"]
         separations.extend(part["separations"])
         if part["violation"] is not None:
-            name, triple_json, detail = part["violation"]
-            raise SweepViolation(name, triple_json, detail)
+            raise SweepViolation(*part["violation"])
     return SweepReport(
         ring=ctx.label,
         mode=mode,
@@ -524,51 +503,87 @@ def sweep(
 
 
 def _parallel_scan(ctx, indices, selected, jobs: int):
-    """Partition indices into contiguous blocks and scan them in workers.
-
-    Exhaustive sweeps pass a range, whose slices are ranges and pickle in
-    constant size; sampled sweeps pass their sorted index list.  Blocks
+    """Scan contiguous blocks of indices in W = min(jobs, cpu count) forked
+    workers, worker k taking blocks k, k + W, ... (_sweep_worker).  Blocks
     merge in index order, so the outcome (including which violation wins:
-    the lowest-index one) matches a sequential scan exactly, whatever the
-    number of workers.  That number is capped at the CPU count: a pool
-    starts all its workers at once.  A worker that dies, or raises
-    anything outside ClineLabError, ends the sweep with WorkerFailure.
+    the lowest-index one) matches a sequential scan whatever W is.  A
+    worker's ClineLabError is re-raised; a worker that dies or raises
+    anything else ends the sweep with WorkerFailure.
 
-    On Ctrl-C (SIGINT to the process group) the workers, which take SIGINT's
-    default action, end at once without a traceback, and the parent's
-    KeyboardInterrupt reaches cli.main.  Blocks not yet started are
-    cancelled by shutdown, inside the pool's own thread: Executor.map would
-    cancel them from this one, and a Python 3.11 pool that then finds its
-    workers dead crashes on those futures and hangs the process at exit.
+    SIGINT is blocked while forking and takes its default action in the
+    workers, so Ctrl-C ends them at once and the parent's KeyboardInterrupt
+    reaches cli.main.  However the parent leaves, it kills and reaps every
+    worker still running, so a SIGINT to it alone leaves none behind.
     """
+    if not hasattr(os, "fork"):
+        raise InputError("--jobs above 1 needs os.fork, which this platform lacks")
+    import pickle
+
     workers = min(jobs, os.cpu_count() or 1)
     size = max(len(indices) // (workers * 4), 1)
-    tasks = [
-        (ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)
-    ]
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=signal.signal,
-        initargs=(signal.SIGINT, signal.SIG_DFL),
-    )
+    tasks = [(ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)]
+    parts = {}  # block -> its part
+    running = {}  # pid -> the read end of its pipe
     try:
-        futures = [pool.submit(_scan_block, task) for task in tasks]
-        results = [future.result() for future in futures]
-    except ClineLabError:
-        raise
-    except BrokenProcessPool as exc:
-        raise WorkerFailure("a sweep worker process died before it finished its block") from exc
-    except Exception as exc:
-        detail = " ".join(str(exc).split())  # one line, whatever the worker wrote
-        raise WorkerFailure(f"a sweep worker failed: {type(exc).__name__}: {detail}") from exc
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        for first in range(min(workers, len(tasks))):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _sweep_worker(tasks, first, workers, write_end)
+            os.close(write_end)
+            running[pid] = open(read_end, "rb")
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for pid, fh in list(running.items()):
+            with fh:
+                data = fh.read()
+            del running[pid]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status == -signal.SIGINT:  # Ctrl-C ended the worker first
+                raise KeyboardInterrupt
+            if status or not data:
+                raise WorkerFailure("a sweep worker process died before it finished its block")
+            sent = pickle.loads(data)
+            if isinstance(sent, ClineLabError):
+                raise sent
+            if isinstance(sent, str):
+                raise WorkerFailure(f"a sweep worker failed: {sent}")
+            parts.update(sent)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, fh in running.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     out = []
-    for part in results:
+    for _, part in sorted(parts.items()):
         out.append(part)
         if part["violation"] is not None:
             break
     return out
+
+
+def _sweep_worker(tasks, first: int, step: int, write_end: int):
+    """A forked sweep worker's body, which never returns: scan the blocks
+    first, first + step, ... by _scan_block, read from the module so that a
+    wrapper installed there runs, and write one pickle to write_end: a list
+    of (block, part), the ClineLabError raised, or "Type: message"."""
+    import pickle
+
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        try:
+            sent = [(k, _scan_block(tasks[k])) for k in range(first, len(tasks), step)]
+        except ClineLabError as exc:
+            sent = exc
+        except Exception as exc:
+            sent = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+        with open(write_end, "wb") as fh:
+            pickle.dump(sent, fh)
+        os._exit(0)
+    finally:
+        os._exit(1)  # reached only when the pickle was not written whole
 
 
 def find_separation(ctx: RingContext, limit: int):
@@ -586,8 +601,7 @@ def find_separation(ctx: RingContext, limit: int):
     return list(islice(found, limit))
 
 
-@dataclass
-class Example29Report:
+class Example29Report(NamedTuple):
     """Everything the 6x6 separation triple is supposed to exhibit."""
 
     ring: str
@@ -598,10 +612,10 @@ class Example29Report:
     ba_drazin_index: int
     transfer_certified: bool
     one_minus_ac_unit: bool
-    ba_inverse: dict = field(default_factory=dict)
+    ba_inverse: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_example_29() -> Example29Report:
@@ -627,7 +641,6 @@ def verify_example_29() -> Example29Report:
     ac_cert = drazin_certificate(a * c)
     if ac_cert is None:
         failures.append("ac has no Drazin inverse")
-    transfer = None
     if not failures:
         try:
             transfer = cline_drazin(a, b, c, "backward")

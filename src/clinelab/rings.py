@@ -24,10 +24,10 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, eq
+from typing import NamedTuple
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
@@ -57,8 +57,7 @@ def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
         raise InputError(f"CLINE_LAB_BUDGET must be an integer, got {raw!r}")
 
 
-@dataclass(frozen=True)
-class NilpotencyWitness:
+class NilpotencyWitness(NamedTuple):
     """Outcome of a nilpotency test.
 
     index is the smallest k >= 1 with x^k = 0 (None when not nilpotent);
@@ -715,7 +714,9 @@ def try_inverse(x: RingElem) -> RingElem | None:
 
 
 def nilpotency(x: RingElem) -> NilpotencyWitness:
-    """Nilpotency test with exact index, by at most B powers of x.
+    """Nilpotency test with exact index, by at most B powers of x, stopping
+    at the first power that repeats an earlier one (the powers then cycle
+    without reaching 0).
 
     An m-by-m matrix over a field has index at most m, so B = m there.  A
     nilpotent N in M_m(Z/p^e) has N^m in pM_m, so N^(m*e) = 0, and by the
@@ -728,11 +729,14 @@ def nilpotency(x: RingElem) -> NilpotencyWitness:
         bound = ctx.size
         if ctx.domain is None or not ctx.domain.is_field:
             bound *= ctx.n.bit_length()
-        zero = ctx.zero()
+        zero, seen = ctx.zero(), set()
         p = x
         for k in range(1, bound + 1):
             if p == zero:
                 return NilpotencyWitness(True, k)
+            if p in seen:
+                break
+            seen.add(p)
             p = p * x
         return NilpotencyWitness(False, None)
 

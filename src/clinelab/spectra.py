@@ -12,8 +12,8 @@ algebraic-number arithmetic is ever needed.  The polynomials are over Z
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch, InputError, ReadingValidationError
@@ -53,8 +53,7 @@ def _exact_quotient(f, g):
     return quot
 
 
-@dataclass(frozen=True)
-class SpectrumDescriptor:
+class SpectrumDescriptor(NamedTuple):
     """Exact characteristic polynomial plus its zero-stripped squarefree part.
 
     Coefficients are ascending (index = degree); char_poly is monic of
@@ -111,8 +110,7 @@ def nonzero_spectrum_equal(m1, m2) -> bool:
     return char_poly(m1).reduced == char_poly(m2).reduced
 
 
-@dataclass(frozen=True)
-class TruncatedOperatorTriple:
+class TruncatedOperatorTriple(NamedTuple):
     """n-by-n truncations of the sequence-space operator triple.
 
     The coordinate rules (1-indexed, identity from coordinate 4 onward):

@@ -21,7 +21,7 @@ from clinelab.serialize import (
     element_to_json,
     triple_from_json,
 )
-from clinelab import InputError, matrix_ring, rationals_matrix, try_inverse, zmod
+from clinelab import BudgetExceeded, InputError, matrix_ring, rationals_matrix, try_inverse, zmod
 
 
 def _write(tmp_path, name, obj):
@@ -475,6 +475,34 @@ def test_spectra_stdout_is_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SPECTRA[name]
 
 
+# sha256 of the stdout of each command on _separation_triple_json() (explore
+# example29 reads no input), recorded while the report types were dataclasses;
+# every command exits 0
+_PINNED_REPORTS = {
+    "explore example29": "e3d6297309758cfb522aef7e43c9b38c73aa6c88ab440cca04c49a8c0810fb44",
+    "cline check": "005d1cb39517465f45aa6fbbed214e63eadf7b0ad60f513d22f147b6c3ede90f",
+    "cline transfer --dir forward --mode drazin":
+        "d2da17709cb98bd25020ed3ee708f87f8606bdcc00211377ce597afb6c938313",
+    "cline transfer --dir forward --mode gdrazin":
+        "60500780fe1278e255f13733fd93112edc0cfb1e601f6caf56e76c79dcea3d1e",
+    "cline transfer --dir backward --mode drazin":
+        "b123a7bc93ce2081d4fd2fcfae809fbb838491600e2f247fb2f4540f928f2295",
+    "cline transfer --dir backward --mode gdrazin":
+        "2993ca9a72816dc0b1482832fa332e103fb874048df351c63c087a7b07ecca0e",
+    "cline jacobson": "5697364c365b446c06605338663931ffcd09f72ec67592af947ace8097266d3a",
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_REPORTS))
+def test_report_stdout_is_pinned(tmp_path, capsys, command):
+    argv = command.split()
+    if argv[0] == "cline":
+        argv += ["--input", _write(tmp_path, "triple.json", _separation_triple_json())]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORTS[command]
+
+
 # --- explore subcommands -----------------------------------------------------------
 
 
@@ -582,14 +610,17 @@ def test_explore_sweep_with_jobs_below_one_exits_2(capsys, jobs):
     assert f"jobs must be at least 1, got {jobs}" in err
 
 
-# stand-ins for explorer._scan_block, module-level so that the pool can
-# pickle them by name
+# stand-ins for explorer._scan_block, run in the forked workers
 def _worker_that_dies(task):
     os._exit(1)
 
 
 def _worker_that_raises(task):
     raise RuntimeError("not a clinelab error\nwith a second line")
+
+
+def _worker_over_the_budget(task):
+    raise BudgetExceeded("Z/4^3 has 64 triples, over the budget 8")
 
 
 @pytest.mark.parametrize(
@@ -600,14 +631,23 @@ def _worker_that_raises(task):
             _worker_that_raises,
             "a sweep worker failed: RuntimeError: not a clinelab error with a second line",
         ),
+        # a clinelab error crosses the pipe as it was raised
+        (_worker_over_the_budget, "Z/4^3 has 64 triples, over the budget 8"),
     ],
-    ids=["dies", "raises"],
+    ids=["dies", "raises", "budget"],
 )
 def test_a_failing_sweep_worker_exits_2_with_one_line(capsys, monkeypatch, worker, message):
     monkeypatch.setattr(explorer, "_scan_block", worker)
     argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", "2"]
     err = _assert_quick_input_error(capsys, argv)
     assert err == f"error: {message}\n"
+
+
+def test_a_parallel_sweep_without_fork_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.delattr(explorer.os, "fork")
+    argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", "2"]
+    err = _assert_quick_input_error(capsys, argv)
+    assert err == "error: --jobs above 1 needs os.fork, which this platform lacks\n"
 
 
 def test_negative_sample_count_exits_2(capsys):
@@ -718,6 +758,23 @@ def test_the_parser_is_built_once_per_process():
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
+def test_importing_the_cli_loads_no_process_pool_and_no_dataclasses():
+    # the modules that `import clinelab.cli` adds, not those `site` loaded
+    code = (
+        "import sys; before = set(sys.modules); import clinelab.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "clinelab.cli" in loaded
+    heavy = {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect"}
+    assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
+
+
 def _fresh_cli(argv, no_inverse=False, **popen):
     """`python -m clinelab argv` in a new interpreter; with no_inverse,
     drazin_certificate finds no inverse, as in
@@ -785,6 +842,24 @@ def test_ctrl_c_during_a_parallel_sweep_exits_130_with_one_line(delay):
     try:
         time.sleep(delay)
         os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert (proc.returncode, err, out) == (130, "error: interrupted\n", "")
+    with pytest.raises(ProcessLookupError):  # no worker outlives the sweep
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("delay", [1.0, 2.0])
+def test_sigint_to_the_parent_alone_during_a_parallel_sweep_ends_its_workers(delay):
+    # `kill -INT <pid>` reaches the parent only; it must end the workers
+    argv = ["explore", "sweep", "--ring", "mat2z4", "--mode", "sample", "--seed", "1"]
+    proc = _fresh_cli(argv + ["--count", "300000", "--jobs", "2"], start_new_session=True)
+    try:
+        time.sleep(delay)
+        os.kill(proc.pid, signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:

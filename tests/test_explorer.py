@@ -3,8 +3,7 @@
 import functools
 import hashlib
 import itertools
-import signal
-from concurrent.futures import Future
+import os
 
 import pytest
 from oracles import index_by_digits, scan_per_triple
@@ -322,44 +321,38 @@ def test_a_fault_keyed_on_a_parts_inputs_surfaces_at_the_oracles_triple(
     assert (info.value.check, info.value.triple_json, info.value.detail) == expected
 
 
-def test_parallel_sweep_caps_workers_at_the_cpu_count(monkeypatch):
-    # an in-process stand-in for the pool: no worker process is started
-    import clinelab.explorer as explorer
+def test_parallel_sweep_forks_one_worker_per_cpu_up_to_jobs(monkeypatch):
+    forked = []
+    fork = os.fork
 
-    pools = []
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.max_workers = max_workers
-            self.initializer = initializer
-            self.initargs = initargs
-            self.tasks = []
-            self.cancel_futures = None
-            pools.append(self)
+    scan = explorer._scan_block
 
-        def submit(self, fn, task):
-            self.tasks.append(task)
-            future = Future()
-            future.set_result(fn(task))
-            return future
+    def tagged(task):  # runs in a worker; the tag comes back in its part
+        return {**scan(task), "block": task[1]}
 
-        def shutdown(self, cancel_futures):
-            self.cancel_futures = cancel_futures
-
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(explorer.os, "fork", counting_fork)
     expected = dumps_canonical(sweep(zmod(6), jobs=1).to_json())
+    assert forked == []
     for cpus, jobs, workers in ((2, 10**6, 2), (None, 10**6, 1), (8, 3, 3)):
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+        forked.clear()
         report = sweep(zmod(6), jobs=jobs)
         assert dumps_canonical(report.to_json()) == expected
-        pool = pools[-1]
-        assert pool.max_workers == workers
-        # workers die quietly on Ctrl-C; blocks not yet started are dropped
-        assert pool.initializer is signal.signal
-        assert pool.initargs == (signal.SIGINT, signal.SIG_DFL)
-        assert pool.cancel_futures is True
-        # 216 triples in blocks of 216 // (4 * workers)
-        assert len(pool.tasks) == -(-216 // (216 // (4 * workers)))
+        assert len(forked) == workers
+        # 216 triples in blocks of 216 // (4 * workers), merged in order
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "_scan_block", tagged)
+            parts = explorer._parallel_scan(zmod(6), range(216), ALL_CHECKS, jobs)
+        size = 216 // (4 * workers)
+        assert [part["block"] for part in parts] == [
+            range(i, min(i + size, 216)) for i in range(0, 216, size)
+        ]
 
 
 def test_parallel_sample_sweep_matches_sequential():

@@ -16,6 +16,7 @@ from oracles import (
     nilpotency_by_repeat,
 )
 
+import clinelab.rings as rings
 from clinelab import (
     BudgetExceeded,
     ContextMismatch,
@@ -290,6 +291,43 @@ def test_bounded_nilpotency_equals_the_repeat_oracle_on_samples(n, size):
             built.append(p * draw(upper=True) * p_inv + radical * draw())
     _check_nilpotency_against_the_oracle([draw() for _ in range(150)])
     assert _check_nilpotency_against_the_oracle(built) == len(built)
+
+
+def _nilpotency_by_bound(x):
+    """(is_nilpotent, index) by all B powers of x, as rings.nilpotency ran
+    before it stopped at a repeated power."""
+    ctx = x.ctx
+    bound = ctx.size
+    if ctx.domain is None or not ctx.domain.is_field:
+        bound *= ctx.n.bit_length()
+    p = x
+    for k in range(1, bound + 1):
+        if p.is_zero:
+            return True, k
+        p = p * x
+    return False, None
+
+
+@pytest.mark.parametrize("ring", [matrix_ring(4, 2), zmod(32), matrix_ring(3, 2)], ids=str)
+def test_nilpotency_stops_at_a_repeated_power_with_the_bounded_witness(ring):
+    for x in ring.elements():
+        w = nilpotency(x)
+        assert (w.is_nilpotent, w.index) == _nilpotency_by_bound(x)
+
+
+def test_nilpotency_on_every_element_of_m2z4_makes_682_products(monkeypatch):
+    # a fresh context, so no witness is cached; all B powers took 1,275
+    ring = rings.MatrixRingContext(4, 2)
+    count = [0]
+    mul = rings.RingElem.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(rings.RingElem, "__mul__", counted)
+    assert sum(nilpotency(x).is_nilpotent for x in ring.elements()) == 64
+    assert count[0] == 682
 
 
 @pytest.mark.parametrize(
