@@ -16,7 +16,7 @@ ring's engine (elimination or exhaustive search) verified in full.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .drazin import (
     DRAZIN,
@@ -45,7 +45,7 @@ FORWARD = "forward"  # (ba) -> (ac)
 BACKWARD = "backward"  # (ac) -> (ba)
 
 
-class HypothesisReport(NamedTuple):
+class HypothesisReport(namedtuple("HypothesisReport", "products holds strong_holds pairwise")):
     """The four quintic products and which of their equalities hold.
 
     pairwise lists (p1,p2), (p1,p3), (p1,p4), (p2,p3), (p2,p4), (p3,p4).
@@ -53,18 +53,13 @@ class HypothesisReport(NamedTuple):
     holds but not conversely.
     """
 
-    products: tuple[RingElem, RingElem, RingElem, RingElem]
-    holds: bool
-    strong_holds: bool
-    pairwise: tuple[bool, bool, bool, bool, bool, bool]
+    __slots__ = ()
 
 
-class TransferResult(NamedTuple):
+class TransferResult(namedtuple("TransferResult", "source target formula_used")):
     """Certificates on both sides of a transfer, plus the direction used."""
 
-    source: DrazinCertificate
-    target: DrazinCertificate
-    formula_used: str
+    __slots__ = ()
 
 
 def _require_common_context(*elems: RingElem):

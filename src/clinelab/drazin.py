@@ -15,14 +15,13 @@ failure raises CertificationError because it can only mean a bug.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch
 from .rings import (
-    NilpotencyWitness,
     RingElem,
     commutant,
     in_double_commutant,
@@ -35,7 +34,12 @@ DRAZIN = "drazin"
 GDRAZIN = "gdrazin"
 
 
-class DrazinCertificate(NamedTuple):
+class DrazinCertificate(
+    namedtuple(
+        "DrazinCertificate",
+        "element inverse index mode core core_nilpotency core_quasinilpotent",
+    )
+):
     """A verified inverse with its index and core witness.
 
     A certificate is built only after bab = b, ab = ba and double-commutant
@@ -45,13 +49,7 @@ class DrazinCertificate(NamedTuple):
     nilpotency witness; for mode "gdrazin" a quasinilpotency flag.
     """
 
-    element: RingElem
-    inverse: RingElem
-    index: int | None
-    mode: str
-    core: RingElem
-    core_nilpotency: NilpotencyWitness | None
-    core_quasinilpotent: bool | None
+    __slots__ = ()
 
 
 def _field(a: RingElem, caller: str):

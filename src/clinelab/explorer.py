@@ -17,8 +17,8 @@ import random
 import signal
 import time
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from .cline import (
     BACKWARD,
@@ -65,6 +65,14 @@ from .serialize import element_to_json, triple_to_json
 
 ALL_CHECKS = ("t22", "t27", "l21", "l26", "l31", "c23", "c24", "c28")
 SAMPLE_SPACE_CAP = 2**2**16  # sampled sweeps draw from at most this many triples
+# A sweep forks at most one worker per MIN_WORKER_TRIPLES triples, since
+# each worker rebuilds the ring's product table and fills its own memos.
+# In interleaved --jobs 1 / --jobs 2 CLI runs on 2 vCPUs (CPython 3.11),
+# two workers won 12 of 24 runs on an 8,192-triple M_2(Z/4) sample, at
+# +50% CPU, 21 of 34 on 16,384, 8 of 10 on 24,576 and 17 of 18 on 32,768
+# (0.86 -> 0.68 s wall); M_2(Z/3) samples won 16/24, 20/24 and 9/10 of the
+# first three.  Exhaustive sweeps of 4,096-8,000 triples won 8 of 28.
+MIN_WORKER_TRIPLES = 2**13
 
 
 # --- check parts ---------------------------------------------------------------
@@ -194,24 +202,21 @@ _CHECKS = {
 }
 
 
-class SweepReport(NamedTuple):
+class SweepReport(
+    namedtuple(
+        "SweepReport",
+        "ring mode theorems triples_total triples_hypothesis triples_strong counters "
+        "separations_found seed requested elapsed_seconds",
+        defaults=(None, None, 0.0),
+    )
+):
     """Deterministic record of one sweep.
 
     elapsed_seconds is informational only and deliberately excluded from
     the canonical JSON so identical runs serialize byte-identically.
     """
 
-    ring: str
-    mode: str
-    theorems: tuple
-    triples_total: int
-    triples_hypothesis: int
-    triples_strong: int
-    counters: dict
-    separations_found: list
-    seed: int | None = None
-    requested: int | None = None
-    elapsed_seconds: float = 0.0
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = self._asdict()
@@ -443,7 +448,9 @@ def sweep(
     mode "exhaustive" walks all |R|^3 triples in lexicographic payload
     order (guarded by the triple budget); mode "sample" draws `count`
     indices from a seeded generator, so runs are reproducible.  jobs is
-    the number of worker processes asked for, at least 1.
+    the number of worker processes asked for, at least 1.  The sweep forks
+    W = min(jobs, usable CPUs, triples // MIN_WORKER_TRIPLES) of them, and
+    scans in process when W <= 1.
     """
     if not ctx.is_finite_ring:
         raise ContextMismatch("sweeps need an enumerable finite ring")
@@ -469,8 +476,9 @@ def sweep(
     else:
         raise InputError("mode must be 'exhaustive' or 'sample'")
 
-    if jobs > 1:
-        parts = _parallel_scan(ctx, indices, selected, jobs)
+    workers = min(jobs, _usable_cpus(), len(indices) // MIN_WORKER_TRIPLES)
+    if workers > 1:
+        parts = _parallel_scan(ctx, indices, selected, workers)
     else:
         parts = [_scan_indices(ctx, indices, selected)]
 
@@ -502,9 +510,17 @@ def sweep(
     )
 
 
-def _parallel_scan(ctx, indices, selected, jobs: int):
-    """Scan contiguous blocks of indices in W = min(jobs, cpu count) forked
-    workers, worker k taking blocks k, k + W, ... (_sweep_worker).  Blocks
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parallel_scan(ctx, indices, selected, workers: int):
+    """Scan contiguous blocks of indices in W = workers forked processes,
+    worker k taking blocks k, k + W, ... (_sweep_worker).  Blocks
     merge in index order, so the outcome (including which violation wins:
     the lowest-index one) matches a sequential scan whatever W is.  A
     worker's ClineLabError is re-raised; a worker that dies or raises
@@ -519,7 +535,6 @@ def _parallel_scan(ctx, indices, selected, jobs: int):
         raise InputError("--jobs above 1 needs os.fork, which this platform lacks")
     import pickle
 
-    workers = min(jobs, os.cpu_count() or 1)
     size = max(len(indices) // (workers * 4), 1)
     tasks = [(ctx, indices[i : i + size], selected) for i in range(0, len(indices), size)]
     parts = {}  # block -> its part
@@ -601,18 +616,16 @@ def find_separation(ctx: RingContext, limit: int):
     return list(islice(found, limit))
 
 
-class Example29Report(NamedTuple):
+class Example29Report(
+    namedtuple(
+        "Example29Report",
+        "ring hypothesis_holds strong_holds x_nilpotency_index ac_drazin_index "
+        "ba_drazin_index transfer_certified one_minus_ac_unit ba_inverse",
+    )
+):
     """Everything the 6x6 separation triple is supposed to exhibit."""
 
-    ring: str
-    hypothesis_holds: bool
-    strong_holds: bool
-    x_nilpotency_index: int
-    ac_drazin_index: int
-    ba_drazin_index: int
-    transfer_certified: bool
-    one_minus_ac_unit: bool
-    ba_inverse: dict
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return self._asdict()

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, eq
-from typing import NamedTuple
 
 from . import linalg
 from .errors import BudgetExceeded, ContextMismatch, InputError
@@ -57,15 +57,14 @@ def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
         raise InputError(f"CLINE_LAB_BUDGET must be an integer, got {raw!r}")
 
 
-class NilpotencyWitness(NamedTuple):
+class NilpotencyWitness(namedtuple("NilpotencyWitness", "is_nilpotent index", defaults=(None,))):
     """Outcome of a nilpotency test.
 
     index is the smallest k >= 1 with x^k = 0 (None when not nilpotent);
     the zero element has index 1 since x^0 = 1 by convention.
     """
 
-    is_nilpotent: bool
-    index: int | None = None
+    __slots__ = ()
 
 
 class RingElem:

@@ -12,8 +12,8 @@ algebraic-number arithmetic is ever needed.  The polynomials are over Z
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch, InputError, ReadingValidationError
@@ -53,7 +53,9 @@ def _exact_quotient(f, g):
     return quot
 
 
-class SpectrumDescriptor(NamedTuple):
+class SpectrumDescriptor(
+    namedtuple("SpectrumDescriptor", "char_poly reduced zero_multiplicity")
+):
     """Exact characteristic polynomial plus its zero-stripped squarefree part.
 
     Coefficients are ascending (index = degree); char_poly is monic of
@@ -61,9 +63,7 @@ class SpectrumDescriptor(NamedTuple):
     reduced over the algebraic closure are exactly the nonzero spectrum.
     """
 
-    char_poly: tuple
-    reduced: tuple
-    zero_multiplicity: int
+    __slots__ = ()
 
 
 def _as_rational_matrix(m) -> RingElem:
@@ -110,7 +110,7 @@ def nonzero_spectrum_equal(m1, m2) -> bool:
     return char_poly(m1).reduced == char_poly(m2).reduced
 
 
-class TruncatedOperatorTriple(NamedTuple):
+class TruncatedOperatorTriple(namedtuple("TruncatedOperatorTriple", "n a b c")):
     """n-by-n truncations of the sequence-space operator triple.
 
     The coordinate rules (1-indexed, identity from coordinate 4 onward):
@@ -121,10 +121,7 @@ class TruncatedOperatorTriple(NamedTuple):
     this, turning the reading of the trailing dots into a tested assumption.
     """
 
-    n: int
-    a: RingElem
-    b: RingElem
-    c: RingElem
+    __slots__ = ()
 
 
 def build_example_triple(n: int) -> TruncatedOperatorTriple:

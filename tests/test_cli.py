@@ -553,7 +553,7 @@ def test_explore_example29(capsys):
     assert data["x_nilpotency_index"] == 3
 
 
-def test_explore_sweep_jobs_flag_is_output_invariant(capsys):
+def test_explore_sweep_jobs_flag_is_output_invariant(capsys, fork_small_sweeps):
     base = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26,l31"]
     _, out1, _ = _run(capsys, base + ["--jobs", "1"])
     _, out2, _ = _run(capsys, base + ["--jobs", "2"])
@@ -636,18 +636,30 @@ def _worker_over_the_budget(task):
     ],
     ids=["dies", "raises", "budget"],
 )
-def test_a_failing_sweep_worker_exits_2_with_one_line(capsys, monkeypatch, worker, message):
+def test_a_failing_sweep_worker_exits_2_with_one_line(
+    capsys, monkeypatch, fork_small_sweeps, worker, message
+):
     monkeypatch.setattr(explorer, "_scan_block", worker)
     argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", "2"]
     err = _assert_quick_input_error(capsys, argv)
     assert err == f"error: {message}\n"
 
 
-def test_a_parallel_sweep_without_fork_exits_2_with_one_line(capsys, monkeypatch):
+def test_a_parallel_sweep_without_fork_exits_2_with_one_line(
+    capsys, monkeypatch, fork_small_sweeps
+):
     monkeypatch.delattr(explorer.os, "fork")
     argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs", "2"]
     err = _assert_quick_input_error(capsys, argv)
     assert err == "error: --jobs above 1 needs os.fork, which this platform lacks\n"
+
+
+def test_a_sweep_below_the_fork_floor_runs_without_fork(capsys, monkeypatch):
+    # 64 triples are too few to fork for, so the sweep never asks for os.fork
+    argv = ["explore", "sweep", "--ring", "zmod4", "--theorems", "l26", "--jobs"]
+    _, expected, _ = _run(capsys, argv + ["1"])
+    monkeypatch.delattr(explorer.os, "fork")
+    assert _run(capsys, argv + ["2"])[:2] == (0, expected)
 
 
 def test_negative_sample_count_exits_2(capsys):
@@ -771,7 +783,9 @@ def test_importing_the_cli_loads_no_process_pool_and_no_dataclasses():
     assert run.returncode == 0, run.stderr
     loaded = set(run.stdout.split())
     assert "clinelab.cli" in loaded
-    heavy = {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect"}
+    heavy = {
+        "concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect", "typing"
+    }
     assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
 
 

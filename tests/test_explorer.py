@@ -107,13 +107,13 @@ def test_sample_space_is_bounded_before_it_is_built():
     assert matrix_ring(2, 148)._count is None
 
 
-def test_parallel_sweep_matches_sequential():
+def test_parallel_sweep_matches_sequential(fork_small_sweeps):
     seq = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=1)
     par = sweep(zmod(4), "l21,l26,l31", "exhaustive", jobs=2)
     assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
 
 
-def test_parallel_exhaustive_all_checks_is_byte_identical():
+def test_parallel_exhaustive_all_checks_is_byte_identical(fork_small_sweeps):
     seq = sweep(zmod(6), jobs=1)
     par = sweep(zmod(6), jobs=2)
     assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
@@ -139,7 +139,7 @@ def test_parallel_exhaustive_all_checks_is_byte_identical():
     ],
     ids=["zmod12", "mat2z2", "mat2z4-sample-jobs1", "mat2z4-sample-jobs2"],
 )
-def test_sweep_canonical_output_is_pinned(ring, kwargs, digest):
+def test_sweep_canonical_output_is_pinned(fork_small_sweeps, ring, kwargs, digest):
     text = dumps_canonical(sweep(ring, **kwargs).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -228,8 +228,7 @@ def _oracle_sweep(monkeypatch, ring, **kwargs):
     ids=["zmod12", "zmod8", "mat2z2", "zmod32", "mat2z4-sample", "mat2z4-sample-jobs2",
          "zmod12-jobs2", "zmod6-jobs2"] + [f"mat2z2-{name}" for name in ALL_CHECKS],
 )
-def test_sweep_equals_the_per_triple_oracle(monkeypatch, ring, kwargs):
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+def test_sweep_equals_the_per_triple_oracle(monkeypatch, fork_small_sweeps, ring, kwargs):
     expected = _oracle_sweep(monkeypatch, ring, **kwargs)
     assert dumps_canonical(sweep(ring, **kwargs).to_json()) == expected
 
@@ -321,7 +320,8 @@ def test_a_fault_keyed_on_a_parts_inputs_surfaces_at_the_oracles_triple(
     assert (info.value.check, info.value.triple_json, info.value.detail) == expected
 
 
-def test_parallel_sweep_forks_one_worker_per_cpu_up_to_jobs(monkeypatch):
+def _counting_fork(monkeypatch) -> list:
+    """Patch os.fork to record, in the list returned, each child it starts."""
     forked = []
     fork = os.fork
 
@@ -331,31 +331,55 @@ def test_parallel_sweep_forks_one_worker_per_cpu_up_to_jobs(monkeypatch):
             forked.append(pid)
         return pid
 
+    monkeypatch.setattr(explorer.os, "fork", counting_fork)
+    return forked
+
+
+def test_parallel_sweep_forks_one_worker_per_cpu_up_to_jobs(monkeypatch, fork_small_sweeps):
+    forked = _counting_fork(monkeypatch)
     scan = explorer._scan_block
 
     def tagged(task):  # runs in a worker; the tag comes back in its part
         return {**scan(task), "block": task[1]}
 
-    monkeypatch.setattr(explorer.os, "fork", counting_fork)
     expected = dumps_canonical(sweep(zmod(6), jobs=1).to_json())
     assert forked == []
-    for cpus, jobs, workers in ((2, 10**6, 2), (None, 10**6, 1), (8, 3, 3)):
+    # the machine's CPU count where the platform has no affinity mask
+    monkeypatch.delattr(explorer.os, "sched_getaffinity", raising=False)
+    cases = [(2, None, 10**6, 2), (None, None, 10**6, 0), (8, None, 3, 3), (8, {0, 5}, 10**6, 2)]
+    for cpus, mask, jobs, workers in cases:
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: cpus)
+        if mask is not None:
+            monkeypatch.setattr(explorer.os, "sched_getaffinity", lambda pid: mask, raising=False)
         forked.clear()
         report = sweep(zmod(6), jobs=jobs)
         assert dumps_canonical(report.to_json()) == expected
         assert len(forked) == workers
+        if workers < 2:
+            continue
         # 216 triples in blocks of 216 // (4 * workers), merged in order
         with monkeypatch.context() as patch:
             patch.setattr(explorer, "_scan_block", tagged)
-            parts = explorer._parallel_scan(zmod(6), range(216), ALL_CHECKS, jobs)
+            parts = explorer._parallel_scan(zmod(6), range(216), ALL_CHECKS, workers)
         size = 216 // (4 * workers)
         assert [part["block"] for part in parts] == [
             range(i, min(i + size, 216)) for i in range(0, 216, size)
         ]
 
 
-def test_parallel_sample_sweep_matches_sequential():
+def test_a_sweep_forks_one_worker_per_floor_of_triples(monkeypatch):
+    forked = _counting_fork(monkeypatch)
+    monkeypatch.setattr(explorer.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    expected = dumps_canonical(sweep(zmod(6), jobs=1).to_json())
+    # 216 triples: none below the floor, one worker per 108 or 72 of them
+    for floor, workers in ((explorer.MIN_WORKER_TRIPLES, 0), (109, 0), (108, 2), (72, 3)):
+        monkeypatch.setattr(explorer, "MIN_WORKER_TRIPLES", floor)
+        forked.clear()
+        assert dumps_canonical(sweep(zmod(6), jobs=10**6).to_json()) == expected
+        assert len(forked) == workers
+
+
+def test_parallel_sample_sweep_matches_sequential(fork_small_sweeps):
     seq = sweep(matrix_ring(2, 2), "l26", "sample", seed=3, count=150, jobs=1)
     par = sweep(matrix_ring(2, 2), "l26", "sample", seed=3, count=150, jobs=2)
     assert dumps_canonical(seq.to_json()) == dumps_canonical(par.to_json())
