@@ -41,7 +41,6 @@ from .errors import (
     ContextMismatch,
     HypothesisViolation,
     InputError,
-    MissingInverse,
     ReadingValidationError,
     SweepViolation,
     WorkerFailure,

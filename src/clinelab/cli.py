@@ -1,8 +1,8 @@
 """Command-line interface binding all modules.
 
-Exit codes: 0 success, 2 bad input or violated precondition, 3 requested
-inverse does not exist, 4 a sweep hit an identity violation, 130
-interrupted (SIGINT, Ctrl-C), with the one line `error: interrupted`.
+Exit codes: 0 success, 2 bad input or violated precondition, 4 a sweep
+hit an identity violation, 130 interrupted (SIGINT, Ctrl-C), with the one
+line `error: interrupted`.
 
 A process builds its parser once (build_parser is cached), so a caller
 that streams many queries through main pays for the argparse tree only
@@ -89,11 +89,7 @@ def _transfer_result_json(result) -> dict:
 def _cmd_drazin_compute(args) -> int:
     elem = element_from_json(_load_json(args.input))
     compute = gdrazin_certificate if args.mode == "gdrazin" else drazin_certificate
-    cert = compute(elem)
-    if cert is None:
-        _emit({"exists": False})
-        return 3
-    out = certificate_to_json(cert)
+    out = certificate_to_json(compute(elem))
     out["exists"] = True
     _emit(out)
     return 0

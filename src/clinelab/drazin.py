@@ -1,15 +1,16 @@
 """Drazin, group, and g-Drazin inverses with verified certificates.
 
-The ring alone picks the rule: eliminate over a field, search when
-indexed, power otherwise.  Elimination (M_n(Q), M_m(Z/p)): one
-Faddeev-LeVerrier pass (linalg.faddeev_leverrier) gives the characteristic
-polynomial x^m q(x), q(0) != 0, and with it the inverse as a polynomial in
-a; the index comes from the certificate's core.  Exhaustive search of an
-indexed ring doubles as an oracle where elimination applies too; any other
-finite ring reads a power of a.  The element budget gates the last two,
-which raise BudgetExceeded over it.  Every certificate is re-verified
-against the defining equations before it is returned; a verification
-failure raises CertificationError because it can only mean a bug.
+The ring alone picks the rule: eliminate over a field when not indexed,
+power otherwise.  Elimination (M_n(Q), M_m(Z/p) over INDEX_CAP elements):
+one Faddeev-LeVerrier pass (linalg.faddeev_leverrier) gives the
+characteristic polynomial x^m q(x), q(0) != 0, and with it the inverse as a
+polynomial in a; the index comes from the certificate's core.  Every other
+finite ring, indexed or not, reads the inverse off a power of a, memoized
+per element and gated by the element budget (BudgetExceeded over it).
+Either way the inverse is a polynomial in a, so it lies in the double
+commutant by construction.  Every certificate is re-verified against the
+defining equations before it is returned; a verification failure raises
+CertificationError because it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from operator import mul
 
 from . import linalg
 from .errors import CertificationError, ContextMismatch
-from .rings import (
-    RingElem,
-    commutant,
-    in_double_commutant,
-    is_quasinilpotent,
-    nilpotency,
-    require_budget,
-)
+from .rings import RingElem, is_quasinilpotent, nilpotency, require_budget
 
 DRAZIN = "drazin"
 GDRAZIN = "gdrazin"
@@ -42,8 +36,9 @@ class DrazinCertificate(
 ):
     """A verified inverse with its index and core witness.
 
-    A certificate is built only after bab = b, ab = ba and double-commutant
-    membership of b have been checked, so those carry no field.  index 0
+    A certificate is built only after bab = b and ab = ba have been
+    checked, so those carry no field; both engines compute b as a
+    polynomial in a, so it lies in the double commutant.  index 0
     means the element is a unit (then core = 0 and ab = 1); the zero
     element has index 1.  For mode "drazin" the core a - a^2 b carries a
     nilpotency witness; for mode "gdrazin" a quasinilpotency flag.
@@ -86,8 +81,9 @@ def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
 
 
 def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate:
-    """Assemble and fully verify a certificate for inverse candidate b,
-    which the caller has shown to lie in the double commutant of a."""
+    """Assemble and fully verify a certificate for inverse candidate b, a
+    polynomial in a (so in its double commutant) by the caller's
+    construction."""
     ctx = a.ctx
     bab = b * a * b
     if bab != b:
@@ -152,14 +148,9 @@ def drazin_matrix(a: RingElem, mode: str = DRAZIN) -> DrazinCertificate:
     return cert
 
 
-def _core_ok(core: RingElem, mode: str) -> bool:
-    if mode == DRAZIN:
-        return nilpotency(core).is_nilpotent
-    return is_quasinilpotent(core)
-
-
 def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
-    """The certificate of b = a^(2L - 1) on M_m(Z/n) (Z/n is M_1).
+    """The certificate of b = a^(2L - 1) on M_m(Z/n) (Z/n is M_1), kept in
+    the ring's cache after the budget check, which every call makes.
 
     The powers of a form a finite cyclic semigroup whose period divides
     |GL_m(Z/n)| and whose index is at most m * e_max (e_max the largest
@@ -170,90 +161,64 @@ def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
     p^((e-1)m^2) * prod over i < m of (p^m - p^i), over the prime powers of
     n; n is within the element budget, so trial division is short.
     """
-    m, n = a.ctx.size, a.ctx.n
-    order, e_max, p = 1, 1, 2
-    while n > 1:
-        p = p if p * p <= n else n
-        e = 0
-        while n % p == 0:
-            n, e = n // p, e + 1
-        if e:
-            order *= p ** ((e - 1) * m * m) * math.prod(p**m - p**i for i in range(m))
-            e_max = max(e_max, e)
-        p += 1
-    return _build_certificate(a, a ** (2 * order * m * e_max - 1), mode)
-
-
-def _finite_ring_search(a: RingElem, mode: str):
-    """Exhaustive search of comm(a) on an indexed ring for the unique inverse
-    of the given mode, never exiting early, so the uniqueness of the
-    defining equations is actually exercised; any other finite ring is
-    powered (_power_certificate).  Either runs once per element; later
-    calls return its certificate from the ring's cache, after the same
-    budget check."""
     ctx = a.ctx
     if not ctx.is_finite_ring:
         raise ContextMismatch(f"{mode}_finite_ring needs a finite-ring context")
     require_budget(ctx)
 
-    def search():
-        if not ctx.indexed:
-            return _power_certificate(a, mode)
-        solutions = [
-            b for b in commutant(a) if b * a * b == b and _core_ok(a - a * a * b, mode)
-        ]
-        if not solutions:
-            return None
-        if len(solutions) > 1:
-            raise CertificationError(
-                f"uniqueness violated: {len(solutions)} inverses found for {a!r}"
-            )
-        b = solutions[0]
-        if not in_double_commutant(b, a):
-            raise CertificationError("found inverse is not in the double commutant")
-        return _build_certificate(a, b, mode)
+    def power():
+        m, n = ctx.size, ctx.n
+        order, e_max, p = 1, 1, 2
+        while n > 1:
+            p = p if p * p <= n else n
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                order *= p ** ((e - 1) * m * m) * math.prod(p**m - p**i for i in range(m))
+                e_max = max(e_max, e)
+            p += 1
+        return _build_certificate(a, a ** (2 * order * m * e_max - 1), mode)
 
-    return ctx.cached((mode, a.payload), search)
+    return ctx.cached((mode, a.payload), power)
 
 
-def drazin_finite_ring(a: RingElem):
-    """Drazin inverse on a finite ring: exhaustive oracle when indexed."""
-    return _finite_ring_search(a, DRAZIN)
+def drazin_finite_ring(a: RingElem) -> DrazinCertificate:
+    """Drazin inverse on a finite ring, by powering (_power_certificate)."""
+    return _power_certificate(a, DRAZIN)
 
 
-def gdrazin_finite_ring(a: RingElem):
-    """Same search with quasinilpotency (rings.is_quasinilpotent) in place
-    of nilpotency for the core part."""
-    return _finite_ring_search(a, GDRAZIN)
+def gdrazin_finite_ring(a: RingElem) -> DrazinCertificate:
+    """The same power, its core certified quasinilpotent by
+    rings.is_quasinilpotent (enumerated on an indexed ring)."""
+    return _power_certificate(a, GDRAZIN)
 
 
-def _dispatch(a: RingElem, mode: str):
+def _dispatch(a: RingElem, mode: str) -> DrazinCertificate:
     """The certificate of a from its ring's engine (RingContext.eliminated).
 
     An eliminated ring goes to drazin_matrix.  Any other ring goes to its
-    memoized search or power, whose budget check is the only one a lookup
-    makes; over the budget it raises BudgetExceeded.
+    memoized power, whose budget check is the only one a lookup makes;
+    over the budget it raises BudgetExceeded.
     """
     if a.ctx.eliminated:
         return drazin_matrix(a, mode)
     return drazin_finite_ring(a) if mode == DRAZIN else gdrazin_finite_ring(a)
 
 
-def drazin_certificate(a: RingElem):
+def drazin_certificate(a: RingElem) -> DrazinCertificate:
     """Drazin inverse via the appropriate engine for a's context."""
     return _dispatch(a, DRAZIN)
 
 
-def gdrazin_certificate(a: RingElem):
-    """g-Drazin inverse; indexed rings go through the enumerated
-    quasinilpotency predicate so the generalized notion is tested in its
-    own terms rather than collapsed to nilpotency up front."""
+def gdrazin_certificate(a: RingElem) -> DrazinCertificate:
+    """g-Drazin inverse; on an indexed ring its core is certified by the
+    enumerated quasinilpotency predicate, so the generalized notion is
+    tested in its own terms rather than collapsed to nilpotency."""
     return _dispatch(a, GDRAZIN)
 
 
 def group_inverse(a: RingElem):
     """The Drazin certificate when its index is at most 1, else None."""
     cert = drazin_certificate(a)
-    if cert is None or cert.index is None or cert.index > 1:
-        return None
-    return cert
+    return cert if cert.index <= 1 else None

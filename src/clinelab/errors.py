@@ -24,10 +24,6 @@ class CertificationError(ClineLabError):
     counterexample to a published identity) and is never a user error."""
 
 
-class MissingInverse(ClineLabError):
-    """A transfer formula needs a source inverse that does not exist."""
-
-
 class ReadingValidationError(ClineLabError):
     """A built-in operator/matrix construction failed its self-validation
     gate, i.e. the adopted coordinate reading does not reproduce the

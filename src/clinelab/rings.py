@@ -6,11 +6,11 @@ Three ring families are supported, one context type each:
 * Z/n, the integers modulo n (ZModContext), and
 * M_m(Z/n), square matrices over Z/n (MatrixRingContext).
 
-Z/n and M_m(Z/n) are finite.  Questions that quantify over a ring (Drazin
-inverses, quasinilpotency) follow one rule per context, fixed when it is
-built: eliminate over a field (M_n(Q), and M_m(Z/p) over INDEX_CAP
-elements; RingContext.eliminated), search when indexed, power
-otherwise.  Only indexed rings enumerate.  The element budget never
+Z/n and M_m(Z/n) are finite.  Drazin inverses follow one rule per
+context, fixed when it is built: eliminate over a field when not indexed
+(M_n(Q), and M_m(Z/p) over INDEX_CAP elements; RingContext.eliminated),
+power otherwise.  Only indexed rings enumerate: commutants, double
+commutants and the quasinilpotency quantifier.  The element budget never
 switches the rule; it gates the finite rings that are not eliminated, by
 raising BudgetExceeded.
 
@@ -185,11 +185,11 @@ class RingContext:
     domain = None  # the entry domain of a matrix ring; None for Z/n
     eliminated = False
     """The engine rule, fixed when the ring is built and independent of the
-    element budget: eliminate over a field (True), else search when indexed
-    and power otherwise (False; drazin._finite_ring_search).  An indexed
-    ring is searched even over a field, as the oracle the elimination
-    engine is diffed against, so M_n(Q) and M_m(Z/p) over INDEX_CAP
-    elements are eliminated."""
+    element budget: eliminate over a field when not indexed (True), else
+    power (False; drazin._power_certificate).  An indexed ring is powered
+    even over a field, so that elimination is diffed against powering on
+    its elements and its lookups are memoized; M_n(Q) and M_m(Z/p) over
+    INDEX_CAP elements are eliminated."""
     indexed = False  # whether the ring enumerates (FiniteRingContext)
     label = "?"
 
@@ -617,7 +617,7 @@ def require_budget(
     """Raise BudgetExceeded when |ctx|**power exceeds the active budget.
 
     Every count checked against CLINE_LAB_BUDGET goes through here: the
-    elements of a searched or powered finite ring and the triples of an
+    elements of a powered or enumerated finite ring and the triples of an
     exhaustive sweep (power 3, default DEFAULT_TRIPLE_BUDGET).  No engine
     choice reads it.  A count far over the budget is neither built nor
     printed in full.  The element check of the ring of a running sweep

@@ -3,19 +3,27 @@
 The library row-reduces by a fraction-free row step, decides
 double-commutant membership over Q by a polynomial witness, reads the
 Drazin inverse off the characteristic polynomial and its index off the
-certificate's core, numbers
-finite-ring elements through their index, bounds nilpotency tests by the
-index bound, reads the Drazin inverse of a finite ring over INDEX_CAP off
-a power of the element, and sweeps by hypothesis class with each check run
-once per distinct input; these helpers recompute each by another route.
+certificate's core, numbers finite-ring elements through their index,
+bounds nilpotency tests by the index bound, reads the Drazin inverse of
+every finite ring that is not eliminated off a power of the element, and
+sweeps by hypothesis class with each check run once per distinct input;
+these helpers recompute each by another route.
 """
 
 from dataclasses import dataclass
 
 from clinelab import explorer, linalg
 from clinelab.cline import check_hypothesis
-from clinelab.errors import CertificationError, MissingInverse
-from clinelab.rings import RingElem, is_unit
+from clinelab.drazin import _build_certificate
+from clinelab.errors import CertificationError
+from clinelab.rings import (
+    RingElem,
+    commutant,
+    in_double_commutant,
+    is_quasinilpotent,
+    is_unit,
+    nilpotency,
+)
 from clinelab.serialize import triple_to_json
 
 
@@ -169,6 +177,23 @@ def inverse_by_payload_scan(a: RingElem, mode: str) -> RingElem:
     return b
 
 
+def certificate_by_commutant_search(a: RingElem, mode: str):
+    """The certificate of the unique Drazin (mode "drazin") or g-Drazin
+    inverse of a in its indexed ring, as indexed rings were searched before
+    they were powered: every b in comm(a) with bab = b whose core
+    a - a^2 b is nilpotent, or quasinilpotent, is collected, never exiting
+    early.  It must be the only one, and in the double commutant of a."""
+
+    def core_ok(core):
+        if mode == "drazin":
+            return nilpotency(core).is_nilpotent
+        return is_quasinilpotent(core)
+
+    (b,) = [b for b in commutant(a) if b * a * b == b and core_ok(a - a * a * b)]
+    assert in_double_commutant(b, a)
+    return _build_certificate(a, b, mode)
+
+
 def inner_inverse(dom, a):
     """Some G with a*G*a = a, for square a over a field.
 
@@ -278,7 +303,7 @@ def scan_per_triple(ctx, indices, selected):
                 ran = False
                 for _, part in explorer._CHECKS[name]:
                     ran |= part(a, b, c, held)
-            except (CertificationError, MissingInverse) as exc:
+            except CertificationError as exc:
                 violation = (name, triple_to_json(a, b, c), str(exc))
                 break
             if ran:

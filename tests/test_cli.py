@@ -168,7 +168,7 @@ def test_drazin_compute_gdrazin_mode(tmp_path, capsys):
 
 def test_drazin_compute_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
     # M_2(Z/2) is enumerated at any budget: a budget below its 16 elements
-    # refuses the search and never falls back to elimination over F_2
+    # refuses the lookup and never falls back to elimination over F_2
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     path = _write(
         tmp_path,
@@ -178,18 +178,6 @@ def test_drazin_compute_over_the_budget_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, ["drazin", "compute", "--input", path])
     assert code == 2 and out == ""
     assert "M2(Z/2) has 16 elements, over the budget 10" in err
-
-
-def test_drazin_compute_missing_inverse_exit_code(tmp_path, capsys, monkeypatch):
-    # no element of the supported rings actually lacks a Drazin inverse,
-    # so the exit-3 contract is exercised by stubbing the engine
-    monkeypatch.setattr(cli, "drazin_certificate", lambda elem: None)
-    path = _write(
-        tmp_path, "elem.json", {"ring": {"type": "Zmod", "n": 4}, "entries": 2}
-    )
-    code, out, _ = _run(capsys, ["drazin", "compute", "--input", path])
-    assert code == 3
-    assert json.loads(out) == {"exists": False}
 
 
 def test_drazin_compute_bad_file(tmp_path, capsys):
@@ -789,21 +777,12 @@ def test_importing_the_cli_loads_no_process_pool_and_no_dataclasses():
     assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
 
 
-def _fresh_cli(argv, no_inverse=False, **popen):
-    """`python -m clinelab argv` in a new interpreter; with no_inverse,
-    drazin_certificate finds no inverse, as in
-    test_drazin_compute_missing_inverse_exit_code."""
-    prelude = ["-m", "clinelab"]
-    if no_inverse:
-        prelude = [
-            "-c",
-            "import runpy, clinelab.cli as cli; cli.drazin_certificate = lambda elem: None; "
-            "runpy.run_module('clinelab', run_name='__main__', alter_sys=True)",
-        ]
+def _fresh_cli(argv, **popen):
+    """`python -m clinelab argv` in a new interpreter."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.Popen(
-        [sys.executable, *prelude, *argv],
+        [sys.executable, "-m", "clinelab", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -821,27 +800,28 @@ def test_one_process_answers_a_command_sequence_as_fresh_processes_do(
     q = _write(tmp_path, "q.json", {"ring": {"type": "Q"}, "entries": [["0", "1"], ["0", "0"]]})
     bad = _write(tmp_path, "bad.json", {"ring": {"type": "Q"}, "entries": [["1/0"]]})
     gdrazin = ["drazin", "compute", "--input", q, "--mode", "gdrazin"]
+    default = ["drazin", "compute", "--input", q]  # --mode left at its default
     steps = [
-        (gdrazin, False, 0),
-        (["drazin", "compute", "--input", q], True, 3),  # --mode left at its default
-        (["drazin", "compute", "--mode", "nope", "--input", q], False, 2),  # usage error
-        (["drazin", "compute", "--input", bad], False, 2),
-        (["spectra", "example", "--n", "4"], False, 0),
-        (gdrazin, False, 0),
+        (gdrazin, 0),
+        (default, 0),
+        (["drazin", "compute", "--mode", "nope", "--input", q], 2),  # usage error
+        (["drazin", "compute", "--input", bad], 2),
+        (["spectra", "example", "--n", "4"], 0),
+        (gdrazin, 0),
     ]
-    for argv, no_inverse, code in steps:
-        with monkeypatch.context() as patch:
-            if no_inverse:
-                patch.setattr(cli, "drazin_certificate", lambda elem: None)
-            try:
-                got = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                got = exc.code
+    for argv, code in steps:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            got = exc.code
         captured = capsys.readouterr()
-        fresh = _fresh_cli(argv, no_inverse)
+        fresh = _fresh_cli(argv)
         out, err = fresh.communicate(timeout=60)
         assert (got, captured.out, captured.err) == (fresh.returncode, out, err), argv
         assert got == code, argv
+        if argv in (gdrazin, default):  # the mode shows in the witnesses
+            witnesses = json.loads(out)["witnesses"]
+            assert ("core_quasinilpotent" in witnesses) == (argv is gdrazin), argv
 
 
 # --- Ctrl-C ------------------------------------------------------------------------

@@ -256,19 +256,6 @@ def test_certify_inverse_accepts_only_the_searched_inverse_on_m2z4():
                         _certify_inverse(x, wrong, mode)
 
 
-def test_certify_inverse_refuses_any_inverse_when_the_search_finds_none(monkeypatch):
-    # every element of a finite ring has a Drazin inverse, so a search that
-    # finds none is stood in for
-    monkeypatch.setattr(drazin, "drazin_finite_ring", lambda a: None)
-    monkeypatch.setattr(drazin, "gdrazin_finite_ring", lambda a: None)
-    ring = matrix_ring(4, 2)
-    x = ring.elem([[2, 1], [0, 2]])
-    for mode in ("drazin", "gdrazin"):
-        for v in (ring.zero(), ring.one(), x):
-            with pytest.raises(CertificationError):
-                _certify_inverse(x, v, mode)
-
-
 def test_certify_inverse_accepts_only_the_eliminated_inverse():
     # elimination certifies by the same rule: M_3(Q), and M_2(Z/7), whose
     # 2,401 elements are over INDEX_CAP
@@ -312,7 +299,7 @@ def test_transfers_under_a_lowered_budget(monkeypatch):
             for r in (transfer(a, b, c, "forward"), transfer(a, b, c, "backward"))
         ]
 
-    transfers(m2z2)  # cached searches stay gated
+    transfers(m2z2)  # cached lookups stay gated
     eliminated = transfers(m2z7)
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     assert transfers(m2z7) == eliminated
@@ -326,7 +313,7 @@ def test_all_checks_sweep_of_m2z2_reads_the_budget_once_per_lookup(monkeypatch):
     # the triple budget once, then the element budget once as the scan's
     # block starts, after which the ring's lookups skip the read (69,547
     # reads before a lookup made one, 9,423 while every lookup read it); a
-    # fresh context, so cached searches from other tests do not lower the
+    # fresh context, so cached lookups from other tests do not lower the
     # count
     reads = [0]
     real = rings.enumeration_budget
@@ -503,7 +490,7 @@ def test_power_transfer_k3_existence_agrees_on_m2z2_sample():
     triples = _hypothesis_triples(ring)
     for a, b, c in triples[::37]:
         c1, c2 = power_transfer(a, b, c, 3)
-        assert (c1 is None) == (c2 is None)
+        assert (c1.element, c2.element) == ((a * c) ** 3, (b * a) ** 3)
 
 
 def test_power_transfer_rejects_bad_k():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    certificate_by_commutant_search,
     drazin_by_inner_inverse,
     in_double_commutant_by_basis,
     index_profile,
@@ -17,6 +18,7 @@ from oracles import (
 
 from clinelab import (
     BudgetExceeded,
+    CertificationError,
     ContextMismatch,
     commutant,
     drazin_certificate,
@@ -34,7 +36,7 @@ from clinelab import (
     rationals_matrix,
     zmod,
 )
-from clinelab.drazin import _power_certificate
+from clinelab.drazin import _build_certificate
 from clinelab.linalg import QQ, inverse
 from clinelab.serialize import certificate_to_json, dumps_canonical
 from clinelab.spectra import char_poly
@@ -43,6 +45,7 @@ M2Q = rationals_matrix(2)
 M2Z2 = matrix_ring(2, 2)
 Z4 = zmod(4)
 Z8 = zmod(8)
+_POWERS = (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring))
 
 
 def _check_defining_equations(cert):
@@ -202,12 +205,10 @@ def test_two_mod_four_has_zero_inverse_index_two():
 
 @pytest.mark.parametrize("ring", [Z4, Z8, M2Z2])
 def test_every_element_of_tested_finite_rings_is_drazin_invertible(ring):
-    # the uniqueness sweep inside drazin_finite_ring raises if it ever finds
-    # two candidates, so this also exercises uniqueness on every element
+    # every element has a Drazin inverse; its uniqueness is checked by the
+    # commutant search of the oracle (tests/oracles.py)
     for e in ring.elements():
-        cert = drazin_finite_ring(e)
-        assert cert is not None
-        _check_defining_equations(cert)
+        _check_defining_equations(drazin_finite_ring(e))
 
 
 @pytest.mark.parametrize("ring", [Z8, M2Z2])
@@ -215,7 +216,6 @@ def test_drazin_and_gdrazin_agree_elementwise(ring):
     for e in ring.elements():
         cd = drazin_finite_ring(e)
         cg = gdrazin_finite_ring(e)
-        assert cd is not None and cg is not None
         assert cd.inverse == cg.inverse
 
 
@@ -258,9 +258,9 @@ def test_matrix_oracle_agreement_on_m2f3_both_modes():
     ring = matrix_ring(3, 2)
     assert ring.element_count == 81
     for e in ring.elements():
-        for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
+        for mode, power in _POWERS:
             field_cert = drazin_matrix(e, mode)
-            ring_cert = search(e)
+            ring_cert = power(e)
             assert ring_cert.inverse.payload == field_cert.inverse.payload
             assert ring_cert.index == field_cert.index
 
@@ -272,7 +272,7 @@ def test_memoized_searches_keep_the_budget_gate(monkeypatch):
         assert drazin_finite_ring(x) is first[0]
         assert gdrazin_finite_ring(x) is first[1]
         firsts[x] = first
-    # a budget lowered after the searches are cached still gates them
+    # a budget lowered after the lookups are cached still gates them
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     for x in M2Z2.elements():
         for fn in (drazin_finite_ring, gdrazin_finite_ring, is_quasinilpotent):
@@ -286,20 +286,20 @@ def test_memoized_searches_keep_the_budget_gate(monkeypatch):
 
 def test_certificate_json_is_the_same_from_both_engines():
     # M_2(Z/3) has 81 elements and M_2(Z/5) 625: both are indexed, so
-    # searched, and drazin_matrix eliminates over F_p on the same elements
+    # powered, and drazin_matrix eliminates over F_p on the same elements
     for p, count in ((3, 81), (5, 625)):
         ring = matrix_ring(p, 2)
         assert not ring.eliminated
         for e in ring.elements():
-            for mode, search in (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring)):
+            for mode, power in _POWERS:
                 assert dumps_canonical(certificate_to_json(drazin_matrix(e, mode))) == (
-                    dumps_canonical(certificate_to_json(search(e)))
+                    dumps_canonical(certificate_to_json(power(e)))
                 )
         assert len(ring.elements()) == count
 
 
 def test_lowered_budget_gates_enumerated_lookups_and_eliminates_prime_rings(monkeypatch):
-    # under a budget of 10 neither indexed ring may be searched, M_2(Z/2)
+    # under a budget of 10 neither indexed ring may be powered, M_2(Z/2)
     # over F_2 as much as M_2(Z/4); M_2(Z/7), over INDEX_CAP, is eliminated
     # at any budget
     ring = matrix_ring(7, 2)
@@ -331,8 +331,7 @@ def test_eliminated_lookups_never_enumerate(monkeypatch):
     def no_scan(*args):
         raise AssertionError("ring scan on an eliminated ring")
 
-    monkeypatch.setattr(drazin, "_finite_ring_search", no_scan)
-    monkeypatch.setattr(drazin, "commutant", no_scan)
+    monkeypatch.setattr(drazin, "_power_certificate", no_scan)
     monkeypatch.setattr(rings, "commutant", no_scan)
     ring = matrix_ring(7, 2)
     for i in range(0, 2401, 37):
@@ -344,20 +343,37 @@ def test_eliminated_lookups_never_enumerate(monkeypatch):
         assert is_quasinilpotent(x) == nilpotency(x).is_nilpotent
 
 
-# --- powering: the finite rings that are neither indexed nor eliminated ------
-
-_SEARCHES = (("drazin", drazin_finite_ring), ("gdrazin", gdrazin_finite_ring))
+# --- powering: every finite ring that is not eliminated ----------------------
 
 
 @pytest.mark.parametrize(
-    "ring", [Z8, zmod(360), matrix_ring(3, 2), matrix_ring(4, 2), matrix_ring(2, 3)], ids=repr
+    "ring",
+    [Z8, zmod(360), M2Z2, matrix_ring(3, 2), matrix_ring(4, 2), matrix_ring(5, 2),
+     matrix_ring(2, 3)],
+    ids=repr,
 )
 def test_powering_equals_the_search_on_every_element_of_indexed_rings(ring):
-    # the power rule called directly where the exhaustive search still runs:
-    # the whole certificate must match, index and core witnesses included
+    # the exhaustive commutant search of the oracle, which also checks
+    # uniqueness and the double commutant: the whole certificate must
+    # match, index and core witnesses included
     for e in ring.elements():
-        for mode, search in _SEARCHES:
-            assert _power_certificate(e, mode) == search(e)
+        for mode, power in _POWERS:
+            assert power(e) == certificate_by_commutant_search(e, mode)
+
+
+def test_indexed_drazin_lookups_never_enumerate(monkeypatch):
+    # an indexed ring is powered: a Drazin-mode lookup reads no commutant
+    # and no commuting mask (a new context, so no lookup is cached yet)
+    from clinelab import rings
+
+    def no_scan(*args):
+        raise AssertionError("ring scan for a Drazin lookup")
+
+    monkeypatch.setattr(rings, "commutant", no_scan)
+    monkeypatch.setattr(rings.MatrixRingContext, "_commuting_mask", no_scan)
+    ring = rings.MatrixRingContext(4, 2)
+    for x in ring.elements():
+        _check_defining_equations(drazin_certificate(x))
 
 
 @pytest.mark.parametrize(
@@ -372,8 +388,8 @@ def test_powering_equals_the_payload_scan_on_unindexed_rings(ring, extra):
     sample = random.Random(25).sample(range(ring.element_count), 20)
     indices = set()
     for a in [ring.element_by_index(i) for i in sample] + [ring.elem(extra)]:
-        for mode, search in _SEARCHES:
-            cert = search(a)
+        for mode, power in _POWERS:
+            cert = power(a)
             assert cert.inverse == inverse_by_payload_scan(a, mode)
             _check_defining_equations(cert)
             indices.add(cert.index)
@@ -383,13 +399,11 @@ def test_powering_equals_the_payload_scan_on_unindexed_rings(ring, extra):
 def test_unindexed_lookups_never_enumerate(monkeypatch):
     # over INDEX_CAP a ring over a composite modulus is powered: no
     # certificate and no quasinilpotency flag scans it, however large
-    from clinelab import drazin, rings
+    from clinelab import rings
 
     def no_scan(*args):
         raise AssertionError("ring scan on an unindexed ring")
 
-    monkeypatch.setattr(drazin, "commutant", no_scan)
-    monkeypatch.setattr(drazin, "in_double_commutant", no_scan)
     monkeypatch.setattr(rings, "commutant", no_scan)
     for ring in (matrix_ring(6, 2), matrix_ring(4, 3), zmod(360360)):
         for i in random.Random(3).sample(range(ring.element_count), 20):
@@ -491,6 +505,35 @@ def test_nilpotent_element_inverse_is_zero_with_index_matching_witness():
     cert = drazin_certificate(x)
     assert cert.inverse.is_zero
     assert cert.index == nilpotency(x).index == 3
+
+
+# --- fault injection: each reachable check refuses a wrong candidate ----------
+
+
+@pytest.mark.parametrize("ring", [M2Q, M2Z2], ids=repr)
+@pytest.mark.parametrize(
+    "a, b, mode, message",
+    [
+        ([[1, 0], [0, 0]], [[1, 1], [0, 0]], "drazin", "ab = ba failed"),
+        ([[1, 0], [0, 1]], [[0, 0], [0, 0]], "drazin", "drazin core is not nilpotent"),
+        ([[1, 0], [0, 1]], [[0, 0], [0, 0]], "gdrazin", "gdrazin core is not quasinilpotent"),
+    ],
+    ids=["commutes", "nilpotent-core", "quasinilpotent-core"],
+)
+def test_build_certificate_refuses_a_wrong_candidate(ring, a, b, mode, message):
+    # on M_2(Z/2) the g-Drazin core goes through the enumerated quantifier;
+    # "unit with nonzero core part" and "a^(k+1) b = a^k failed" follow from
+    # the checks before them (ab = 1 gives a - a^2 b = 0; e = ab is an
+    # idempotent commuting with a, so core^k = a^k (1 - e) = 0 gives
+    # a^k = a^(k+1) b), so no candidate reaches them
+    with pytest.raises(CertificationError, match=message):
+        _build_certificate(ring.elem(a), ring.elem(b), mode)
+
+
+def test_build_certificate_refuses_twice_the_inverse_over_q():
+    a = M2Q.elem([[2, 0], [0, 3]])
+    with pytest.raises(CertificationError, match="bab = b failed"):
+        _build_certificate(a, M2Q.elem([[1, 0], [0, Fraction(2, 3)]]), "drazin")
 
 
 # --- pinned certificates -------------------------------------------------------

@@ -441,7 +441,7 @@ def test_budget_error_propagates_instead_of_masquerading_as_violation(monkeypatc
 @pytest.mark.parametrize("outcome", ["finish", "violation", "budget"])
 def test_the_block_budget_is_released_however_a_scan_ends(monkeypatch, outcome):
     # inside a scan the ring's element checks skip the budget read; after
-    # it, a lowered budget gates a cached search again
+    # it, a lowered budget gates a cached lookup again
     ring = matrix_ring(2, 2)
     x = ring.element_by_index(6)
     drazin_finite_ring(x)
