@@ -83,16 +83,17 @@ def is_polynomial_in(b: RingElem, a: RingElem) -> bool:
 def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate:
     """Assemble and fully verify a certificate for inverse candidate b, a
     polynomial in a (so in its double commutant) by the caller's
-    construction."""
+    construction.  The product ab is formed once and every check reads it:
+    bab = b*ab, the core a - a^2 b = a - a*ab, and a^(k+1) b = a^k*ab."""
     ctx = a.ctx
-    bab = b * a * b
-    if bab != b:
+    ab = a * b
+    if b * ab != b:
         raise CertificationError("bab = b failed")
-    if a * b != b * a:
+    if ab != b * a:
         raise CertificationError("ab = ba failed")
-    core = a - a * a * b
+    core = a - a * ab
     witness = nilpotency(core)
-    if a * b == ctx.one():
+    if ab == ctx.one():
         index = 0
         if not core.is_zero:
             raise CertificationError("unit with nonzero core part")
@@ -103,7 +104,8 @@ def _build_certificate(a: RingElem, b: RingElem, mode: str) -> DrazinCertificate
     if mode == DRAZIN:
         if index is None:
             raise CertificationError("drazin core is not nilpotent")
-        if a ** (index + 1) * b != a**index:
+        a_k = a**index
+        if a_k * ab != a_k:
             raise CertificationError("a^(k+1) b = a^k failed")
         core_witness = witness
     else:
@@ -153,13 +155,15 @@ def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
     the ring's cache after the budget check, which every call makes.
 
     The powers of a form a finite cyclic semigroup whose period divides
-    |GL_m(Z/n)| and whose index is at most m * e_max (e_max the largest
-    prime exponent of n), so with L = |GL_m(Z/n)| * m * e_max, a^L is
-    idempotent and b is the Drazin inverse (Drazin, Amer. Math. Monthly 65,
-    1958), a polynomial in a.  Quasinilpotent means nilpotent in a finite
-    ring, so b is the g-Drazin inverse too.  |GL_m(Z/p^e)| =
-    p^((e-1)m^2) * prod over i < m of (p^m - p^i), over the prime powers of
-    n; n is within the element budget, so trial division is short.
+    L = |GL_m(Z/n)|, where |GL_m(Z/p^e)| = p^((e-1)m^2) * prod over i < m
+    of (p^m - p^i), multiplied over the prime powers p^e of n.  Its index
+    is at most m*e for the largest prime exponent e of n (rings.nilpotency),
+    and L is at least that: with p the prime of exponent e, L >=
+    |GL_m(Z/p^e)| >= p^((e-1)m^2) * p^(m-1)(p-1) >= 2^(e-1) * 2^(m-1) >=
+    e*m.  So a^L is idempotent and b is the Drazin inverse (Drazin, Amer.
+    Math. Monthly 65, 1958), a polynomial in a.  Quasinilpotent means
+    nilpotent in a finite ring, so b is the g-Drazin inverse too.  n is
+    within the element budget, so trial division is short.
     """
     ctx = a.ctx
     if not ctx.is_finite_ring:
@@ -168,7 +172,7 @@ def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
 
     def power():
         m, n = ctx.size, ctx.n
-        order, e_max, p = 1, 1, 2
+        order, p = 1, 2
         while n > 1:
             p = p if p * p <= n else n
             e = 0
@@ -176,9 +180,8 @@ def _power_certificate(a: RingElem, mode: str) -> DrazinCertificate:
                 n, e = n // p, e + 1
             if e:
                 order *= p ** ((e - 1) * m * m) * math.prod(p**m - p**i for i in range(m))
-                e_max = max(e_max, e)
             p += 1
-        return _build_certificate(a, a ** (2 * order * m * e_max - 1), mode)
+        return _build_certificate(a, a ** (2 * order - 1), mode)
 
     return ctx.cached((mode, a.payload), power)
 

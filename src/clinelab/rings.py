@@ -27,6 +27,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import add, eq
 
 from . import linalg
@@ -36,7 +37,6 @@ from .linalg import ModularDomain, QQ
 DEFAULT_ENUMERATION_BUDGET = 2**20
 DEFAULT_TRIPLE_BUDGET = 2**24
 INDEX_CAP = 2**10  # finite rings with at most this many elements are indexed
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def enumeration_budget(default: int = DEFAULT_ENUMERATION_BUDGET) -> int:
@@ -323,10 +323,9 @@ class FiniteRingContext(RingContext):
     every element once, in enumeration order, and from then on hands out
     only those objects, each carrying its index: products, sums and
     negations are found by index (_product, _sum, _negation), and so is
-    each element's commuting mask, the bitset of the indices of the
-    elements that commute with it (_commuting_mask; each family builds it
-    its own way).  Larger rings compute every result on payloads, and
-    never enumerate.
+    each element's commutant (_commutant; each family reads it its own
+    way).  Larger rings compute every result on payloads, and never
+    enumerate.
     """
 
     is_finite_ring = True
@@ -367,8 +366,9 @@ class FiniteRingContext(RingContext):
     def _negation(self, i: int) -> RingElem:
         raise NotImplementedError
 
-    def _commuting_mask(self, i: int) -> int:
-        """Bit j is set when the elements with indices i and j commute."""
+    def _commutant(self, i: int) -> tuple:
+        """The elements that commute with the element of index i, in
+        enumeration order."""
         raise NotImplementedError
 
     def _index(self) -> tuple:
@@ -402,7 +402,7 @@ class _ResidueIndex:
     """Index arithmetic of a one-digit ring, Z/n or M_1(Z/n): an element's
     index is its residue mod n, so products, sums and negations are
     residue arithmetic on indices, and the ring is commutative, so every
-    commuting mask is full."""
+    commutant is the whole ring."""
 
     def _product(self, i, j):
         return self._elems[i * j % self.n]
@@ -413,8 +413,8 @@ class _ResidueIndex:
     def _negation(self, i):
         return self._elems[-i % self.n]
 
-    def _commuting_mask(self, i):
-        return (1 << self.n) - 1
+    def _commutant(self, i):
+        return self._elems
 
 
 class ZModContext(_ResidueIndex, FiniteRingContext):
@@ -466,7 +466,8 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
     The digits of an element are its entries read row by row.  An indexed
     ring of N elements keeps one complete N-by-N product table of indices,
     cell i*N + j holding index(x_i*x_j), built on the first product or
-    mask; its commuting masks compare row i of the table with column i.
+    commutant; comm(x_i) is read off it, as the elements where row i of
+    the table equals column i.
     Sums and negations are sparse, so their tables (N-by-N and N cells of
     -1) fill in as results are first asked for.  M_1(Z/n) builds none of
     these: its one entry is its index, so it takes the residue index
@@ -497,7 +498,6 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
         self._products: array | None = None
         self._sums: array | None = None
         self._negations: array | None = None
-        self._masks: list | None = None
 
     def __reduce__(self):
         return matrix_ring, (self.n, self.size)
@@ -567,17 +567,11 @@ class MatrixRingContext(_MatrixPayloads, FiniteRingContext):
             k = self._fill("_negations", i, self._neg, i)
         return self._elems[k]
 
-    def _commuting_mask(self, i):
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = [None] * len(self._elems)
-        mask = masks[i]
-        if mask is None:
-            table, count = self._product_table(), len(self._elems)
-            row, column = table[i * count : (i + 1) * count], table[i::count]
-            # bytes of 0/1 per index, highest index first, read as binary
-            mask = masks[i] = int(bytes(map(eq, row, column))[::-1].translate(_BITS), 2)
-        return mask
+    def _commutant(self, i):
+        table, elems = self._product_table(), self._elems
+        count = len(elems)
+        row, column = table[i * count : (i + 1) * count], table[i::count]
+        return tuple(compress(elems, map(eq, row, column)))
 
     def _from_digits(self, digits):
         return linalg.mat_unflatten(digits, self.size, self.size)
@@ -719,8 +713,9 @@ def nilpotency(x: RingElem) -> NilpotencyWitness:
 
     An m-by-m matrix over a field has index at most m, so B = m there.  A
     nilpotent N in M_m(Z/p^e) has N^m in pM_m, so N^(m*e) = 0, and by the
-    Chinese remainder theorem the index over Z/n is at most m*e_max <=
-    m*log2(n); so B = m * n.bit_length() otherwise (Z/n is M_1(Z/n)).
+    Chinese remainder theorem the index over Z/n is at most m times the
+    largest prime exponent of n, so at most m*log2(n); so
+    B = m * n.bit_length() otherwise (Z/n is M_1(Z/n)).
     """
     ctx = x.ctx
 
@@ -752,22 +747,22 @@ def _require_index(ctx: RingContext, caller: str) -> None:
 
 
 def commutant(x: RingElem):
-    """comm(x), the elements that commute with x, in enumeration order,
-    read off x's commuting mask (indexed rings only)."""
+    """comm(x), the elements that commute with x, in enumeration order
+    (indexed rings only): the whole ring for Z/n and M_1(Z/n), else read
+    off the product table."""
     ctx = x.ctx
     _require_index(ctx, "commutant")
-    mask = ctx._commuting_mask(x.idx)
-    return tuple(y for y in ctx._elems if mask >> y.idx & 1)
+    return ctx._commutant(x.idx)
 
 
 def in_double_commutant(b: RingElem, a: RingElem) -> bool:
     """Whether b commutes with everything that commutes with a: whether
-    every bit of a's commuting mask is set in b's (indexed rings only)."""
+    comm(a) is a subset of comm(b) (indexed rings only)."""
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ContextMismatch("double-commutant test needs a common ring")
     _require_index(ctx, "in_double_commutant")
-    return ctx._commuting_mask(a.idx) & ~ctx._commuting_mask(b.idx) == 0
+    return set(ctx._commutant(a.idx)) <= set(ctx._commutant(b.idx))
 
 
 def is_quasinilpotent(x: RingElem) -> bool:

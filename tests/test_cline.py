@@ -32,7 +32,7 @@ from clinelab import (
     units_transfer,
     zmod,
 )
-from clinelab import drazin, rings
+from clinelab import cline, drazin, rings
 from clinelab.cline import _certify_inverse
 from clinelab.serialize import certificate_to_json, dumps_canonical
 
@@ -281,6 +281,24 @@ def test_certify_inverse_accepts_only_the_eliminated_inverse():
                 if wrong != inverse:
                     with pytest.raises(CertificationError):
                         _certify_inverse(x, wrong, mode)
+
+
+@pytest.mark.parametrize("ring", [M2Q, matrix_ring(2, 2)], ids=repr)
+@pytest.mark.parametrize("transfer", [cline_drazin, cline_gdrazin])
+def test_transfer_refuses_a_core_off_the_decomposition_identity(monkeypatch, ring, transfer):
+    # the target's certificate comes back with its core plus one, so the
+    # core no longer equals left * (1 - source * d) * right
+    certify = cline._certify_inverse
+
+    def shifted_core(x, v, mode):
+        cert = certify(x, v, mode)
+        return cert._replace(core=cert.core + 1)
+
+    monkeypatch.setattr(cline, "_certify_inverse", shifted_core)
+    a = ring.elem([[1, 1], [0, 0]])
+    for direction in ("forward", "backward"):
+        with pytest.raises(CertificationError, match="core decomposition identity failed"):
+            transfer(a, a, a, direction)
 
 
 def test_transfers_under_a_lowered_budget(monkeypatch):

@@ -362,15 +362,15 @@ def test_powering_equals_the_search_on_every_element_of_indexed_rings(ring):
 
 
 def test_indexed_drazin_lookups_never_enumerate(monkeypatch):
-    # an indexed ring is powered: a Drazin-mode lookup reads no commutant
-    # and no commuting mask (a new context, so no lookup is cached yet)
+    # an indexed ring is powered: a Drazin-mode lookup reads no commutant,
+    # through the API or the ring (a new context, so no lookup is cached yet)
     from clinelab import rings
 
     def no_scan(*args):
         raise AssertionError("ring scan for a Drazin lookup")
 
     monkeypatch.setattr(rings, "commutant", no_scan)
-    monkeypatch.setattr(rings.MatrixRingContext, "_commuting_mask", no_scan)
+    monkeypatch.setattr(rings.MatrixRingContext, "_commutant", no_scan)
     ring = rings.MatrixRingContext(4, 2)
     for x in ring.elements():
         _check_defining_equations(drazin_certificate(x))
@@ -534,6 +534,23 @@ def test_build_certificate_refuses_twice_the_inverse_over_q():
     a = M2Q.elem([[2, 0], [0, 3]])
     with pytest.raises(CertificationError, match="bab = b failed"):
         _build_certificate(a, M2Q.elem([[1, 0], [0, Fraction(2, 3)]]), "drazin")
+
+
+def test_drazin_matrix_refuses_an_index_over_the_multiplicity_of_zero(monkeypatch):
+    # the true certificate of a dense M_4(Q) element, its index raised to
+    # 5, over every multiplicity of 0 a 4x4 matrix can have
+    from clinelab import drazin
+
+    build = drazin._build_certificate
+
+    def raised_index(a, b, mode):
+        return build(a, b, mode)._replace(index=5)
+
+    a = _dense_of_index(random.Random(32), 4, 2)
+    monkeypatch.setattr(drazin, "_build_certificate", raised_index)
+    for mode in ("drazin", "gdrazin"):
+        with pytest.raises(CertificationError, match="index exceeds the multiplicity of 0"):
+            drazin_matrix(a, mode)
 
 
 # --- pinned certificates -------------------------------------------------------

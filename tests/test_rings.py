@@ -629,7 +629,7 @@ def test_product_lines_match_payload_products_on_m2z5_sample():
 def test_zmod_commuting_masks_are_full():
     ring = zmod(12)
     for x in ring.elements():
-        assert ring._commuting_mask(x.idx) == 2**12 - 1
+        assert ring._commutant(x.idx) == ring.elements()
         assert commutant(x) == ring.elements()
 
 
@@ -644,7 +644,7 @@ def test_one_by_one_matrix_rings_use_residue_index_arithmetic(n):
     assert [x.payload for x in els] == [((k,),) for k in range(n)]
     for x in els:
         assert (-x).payload == ring._neg(x.payload)
-        assert ring._commuting_mask(x.idx) == 2**n - 1
+        assert ring._commutant(x.idx) == ring.elements()
         for y in els:
             assert (x * y).idx == pos[ring._mul(x.payload, y.payload)]
             assert (x + y).idx == pos[ring._add(x.payload, y.payload)]
@@ -692,10 +692,9 @@ def test_indexed_matrix_rings_have_one_product_path(monkeypatch):
     assert report.counters["t22"] == {"checked": 865, "passed": 865}
 
 
-def test_double_commutant_keeps_the_budget_gate_after_masks_are_cached(monkeypatch):
+def test_double_commutant_keeps_the_budget_gate_after_a_first_call(monkeypatch):
     a, b = M2Z2.elements()[6], M2Z2.elements()[9]
     in_double_commutant(b, a)
-    assert M2Z2._masks[a.idx] is not None and M2Z2._masks[b.idx] is not None
     monkeypatch.setenv("CLINE_LAB_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
         in_double_commutant(b, a)
